@@ -15,10 +15,12 @@
 /// proxy tracks real time), and writes everything as BENCH_native.json
 /// (--out=FILE overrides).
 ///
-/// Gate: the geometric-mean native-vs-decoded-VM speedup across the
-/// matrix must be >= 5x, or the run exits 1. Every native image is
-/// checked bit-identical against the scalar oracle before it is timed —
-/// a fast-but-wrong kernel cannot pass.
+/// Gates: the geometric-mean native-vs-decoded-VM speedup across the
+/// matrix must be >= 5x, and when V = 64 runs on AVX-512 the V = 32
+/// geomean native ns/element over the V = 64 one must be >= 1, or the
+/// run exits 1. Every native image is checked bit-identical against the
+/// scalar oracle before it is timed — a fast-but-wrong kernel cannot
+/// pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -290,23 +292,41 @@ int main(int Argc, char **Argv) {
     double Vm, Native;
   };
   std::map<unsigned, Corr> Corrs;
+  std::map<unsigned, double> GeomeanNativeNs;
   for (unsigned W : Widths) {
     std::vector<double> Opd, Vm, Nat;
+    double LogNs = 0;
     for (const Row &R : Rows)
       if (R.Width == W) {
         Opd.push_back(R.Opd);
         Vm.push_back(R.VmNs);
         Nat.push_back(R.NativeNs);
+        LogNs += std::log(R.NativeNs);
       }
     Corrs[W] = {pearson(Opd, Vm), pearson(Opd, Nat)};
+    GeomeanNativeNs[W] = std::exp(LogNs / static_cast<double>(Nat.size()));
     std::printf("width %2u: corr(opd, vm) = %+.3f, corr(opd, native) = "
                 "%+.3f\n",
                 W, Corrs[W].Vm, Corrs[W].Native);
   }
   std::printf("geomean native-vs-VM speedup: %.1fx (gate: >= 5x)\n", Geomean);
 
+  // Width ordering: with real 64-byte registers, twice the datums per
+  // operation must not cost more per element than V = 32. Hosts that run
+  // V = 64 on the shim measure the scalar model, so they record no gate.
+  bool GateWidths = native::bestISAForWidth(64) == native::ISA::AVX512;
+  double V32OverV64 = GeomeanNativeNs[32] / GeomeanNativeNs[64];
+  std::printf("geomean native ns/elem: V=16 %.3f, V=32 %.3f, V=64 %.3f; "
+              "V=32 / V=64 = %.2f (%s)\n",
+              GeomeanNativeNs[16], GeomeanNativeNs[32], GeomeanNativeNs[64],
+              V32OverV64,
+              GateWidths ? "gate: >= 1" : "not gated: V=64 runs on the shim");
+  bool WidthsOk = !GateWidths || V32OverV64 >= 1.0;
+
   bench::BenchReport Report("native");
   Report.gate("geomean_speedup_native_vs_vm", Geomean, 5.0, Geomean >= 5.0);
+  if (GateWidths)
+    Report.gate("geomean_v32_over_v64", V32OverV64, 1.0, WidthsOk);
   for (const Row &R : Rows) {
     std::string RowJson;
     obs::json::Writer Wr(RowJson);
@@ -344,6 +364,13 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "FAIL: geomean native speedup %.2fx is below the 5x gate\n",
                  Geomean);
+    return 1;
+  }
+  if (!WidthsOk) {
+    std::fprintf(stderr,
+                 "FAIL: AVX-512 V=64 kernels are slower per element than "
+                 "V=32 (V=32 / V=64 geomean ns = %.2f)\n",
+                 V32OverV64);
     return 1;
   }
   return 0;

@@ -49,6 +49,13 @@ std::string compilerPath() {
   return SIMDIZE_NATIVE_CXX;
 }
 
+std::string compileFlags(ISA Isa) {
+  std::string Flags = "-std=c++20 -O2 -fPIC -shared";
+  for (const std::string &F : isaCompileFlags(Isa))
+    Flags += " " + F;
+  return Flags;
+}
+
 uint64_t fnv1a(uint64_t H, const std::string &S) {
   for (unsigned char C : S) {
     H ^= C;
@@ -70,6 +77,14 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
   return Out.good();
 }
 
+/// The bytes of the wrapper header every emitted TU includes, read once
+/// per process from the directory the compiler is pointed at.
+const std::string &wrapperHeader() {
+  static const std::string Text =
+      readFile(SIMDIZE_NATIVE_INCLUDE_DIR "/simdize_x86.h");
+  return Text;
+}
+
 } // namespace
 
 void *CompiledModule::symbol(const std::string &Name) const {
@@ -86,15 +101,18 @@ std::string native::nativeCacheDir() {
   return (Tmp / "simdize-native-cache").string();
 }
 
+uint64_t native::compileCacheKey(const std::string &Source, ISA Isa,
+                                 const std::string &Header) {
+  return fnv1a(14695981039346656037ULL, compilerPath() + "\x1f" +
+                                            compileFlags(Isa) + "\x1f" +
+                                            Header + "\x1f" + Source);
+}
+
 const CompiledModule *native::compileAndLoad(const std::string &Source,
                                              ISA Isa, std::string *Error) {
   std::string Compiler = compilerPath();
-  std::string Flags = "-std=c++20 -O2 -fPIC -shared";
-  for (const std::string &F : isaCompileFlags(Isa))
-    Flags += " " + F;
-
-  uint64_t Key = fnv1a(14695981039346656037ULL,
-                       Compiler + "\x1f" + Flags + "\x1f" + Source);
+  std::string Flags = compileFlags(Isa);
+  uint64_t Key = compileCacheKey(Source, Isa, wrapperHeader());
 
   CacheState &C = cache();
   std::lock_guard<std::mutex> Lock(C.Mu);

@@ -10,8 +10,9 @@
 /// content-hash cache (in-process handle map over an on-disk .so store)
 /// makes repeated kernels — fuzz sweeps, benches, repeated test runs —
 /// cost one dlopen instead of one compiler invocation. Keys are the
-/// FNV-1a hash of (compiler, flags, source), so any change to either the
-/// generator or the toolchain misses cleanly.
+/// FNV-1a hash of (compiler, flags, wrapper header bytes, source): a new
+/// generator, toolchain or simdize_x86.h misses rather than reusing a
+/// kernel built from other code (up to a 64-bit hash collision).
 ///
 /// The compiler defaults to the one this project was built with
 /// (SIMDIZE_NATIVE_CXX, set by CMake); the SIMDIZE_NATIVE_CXX environment
@@ -51,6 +52,13 @@ struct NativeCompileStats {
   uint64_t DiskHits = 0;    ///< .so found on disk; dlopen only.
   uint64_t Failures = 0;    ///< Compiler or dlopen failed.
 };
+
+/// The cache key of compiling \p Source for \p Isa against the wrapper
+/// header bytes \p Header: FNV-1a over (compiler, flags, header, source).
+/// compileAndLoad passes the simdize_x86.h its compiler command includes,
+/// read once per process, and stores the .so as nk_<key>.so.
+uint64_t compileCacheKey(const std::string &Source, ISA Isa,
+                         const std::string &Header);
 
 /// Compiles \p Source for \p Isa into a cached shared object and loads
 /// it. Returns the loaded module, or nullptr with \p Error set (the

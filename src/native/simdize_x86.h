@@ -501,10 +501,12 @@ inline vx_t vx_cmp_ge_i32(vx_t A, vx_t B) {
 }
 
 //===----------------------------------------------------------------------===//
-// AVX-512 (F + BW): __m512i, V = 64. vsplice is a single masked blend;
-// the shift pair goes through an aligned spill of the 128-byte pair
-// (correct for every S in [0, 64] and still far from the interpreter's
-// cost).
+// AVX-512 (F + BW): __m512i, V = 64. vsplice is a single masked blend.
+// Immediate shifts stay in registers: valignd shifts the 128-byte pair by
+// whole dwords, and byte-granular amounts widen the AVX2 trick to four
+// lanes (two valignd pick adjacent 16-byte windows, one vpalignr
+// finishes per lane). Only the runtime-amount vx_shiftpair still goes
+// through an aligned spill of the pair.
 //===----------------------------------------------------------------------===//
 #elif defined(SIMDIZE_NATIVE_ISA_AVX512)
 
@@ -528,6 +530,8 @@ inline void vx_st(unsigned char *Addr, vx_t V) {
   _mm512_store_si512(reinterpret_cast<void *>(P), V);
 }
 
+/// Runtime shift amount: valignd and vpalignr take only immediates, so
+/// this spills the pair and reloads it unaligned.
 inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
   alignas(64) unsigned char Concat[128];
   _mm512_store_si512(reinterpret_cast<void *>(Concat), A);
@@ -535,14 +539,37 @@ inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
   return _mm512_loadu_si512(reinterpret_cast<const void *>(Concat + S));
 }
 
-template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
-  static_assert(N >= 0 && N <= 64, "shift immediate out of range");
-  if constexpr (N == 0)
+namespace simdize_x86_detail {
+
+/// Bytes [4 K, 4 K + 64) of A ++ B, K in [0, 16]: one valignd. The
+/// all-ones masked intrinsic is the same instruction; the unmasked one
+/// merges from an undefined vector, which GCC 12 flags under -Wall.
+template <int K> inline vx_t dwords(vx_t A, vx_t B) {
+  static_assert(K >= 0 && K <= 16, "dword shift out of range");
+  if constexpr (K == 0)
     return A;
-  else if constexpr (N == 64)
+  else if constexpr (K == 16)
     return B;
   else
-    return vx_shiftpair(A, B, N);
+    return _mm512_maskz_alignr_epi32(static_cast<__mmask16>(-1), B, A, K);
+}
+
+} // namespace simdize_x86_detail
+
+template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
+  static_assert(N >= 0 && N <= 64, "shift immediate out of range");
+  if constexpr (N % 4 == 0)
+    return simdize_x86_detail::dwords<N / 4>(A, B);
+  else {
+    // Lane l of the result is bytes [N % 16, N % 16 + 16) of the pair's
+    // 16-byte chunks Q+l and Q+l+1, Q = N / 16: lane l of the 64-byte
+    // windows starting at chunks Q and Q+1, joined by the per-lane
+    // vpalignr.
+    constexpr int Q = N / 16;
+    return _mm512_alignr_epi8(simdize_x86_detail::dwords<4 * Q + 4>(A, B),
+                              simdize_x86_detail::dwords<4 * Q>(A, B),
+                              N % 16);
+  }
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {

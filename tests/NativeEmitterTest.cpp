@@ -24,9 +24,15 @@
 #include "native/NativeRun.h"
 #include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
+#include "support/Format.h"
 #include "synth/LoopSynth.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
 
 using namespace simdize;
 
@@ -268,6 +274,43 @@ TEST(NativeCache, RepeatedCompileHitsCache) {
   EXPECT_EQ(Second, First); // One handle per content hash.
   EXPECT_EQ(After.MemoryHits, Before.MemoryHits + 1);
   EXPECT_EQ(After.Compiles, Before.Compiles);
+}
+
+TEST(NativeCache, KeyCoversWrapperHeader) {
+  // The TU only #includes simdize_x86.h, so the header's bytes must be
+  // part of the key or a cache filled against an older header keeps
+  // serving kernels built from it.
+  ir::Loop L = figureOneLoop(ir::ElemType::Int16);
+  vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Eager, false);
+  lower::LowerResult Lowered =
+      native::emitNativeKernel(P, L, "header_probe", native::ISA::Shim);
+  ASSERT_TRUE(Lowered.ok());
+  // A nonce makes the TU new to every cache, so only the compile below
+  // can publish its .so.
+  std::random_device Rd;
+  std::string Source = Lowered.Code + strf("// nonce %08x%08x\n", Rd(), Rd());
+  std::ifstream In(SIMDIZE_NATIVE_DIR "/simdize_x86.h", std::ios::binary);
+  std::string Header{std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>()};
+  ASSERT_FALSE(Header.empty());
+
+  uint64_t Key = native::compileCacheKey(Source, native::ISA::Shim, Header);
+  EXPECT_EQ(Key, native::compileCacheKey(Source, native::ISA::Shim, Header));
+  std::string Edited = Header;
+  Edited[Edited.size() / 2] ^= 1;
+  EXPECT_NE(Key, native::compileCacheKey(Source, native::ISA::Shim, Edited));
+  EXPECT_NE(Key,
+            native::compileCacheKey(Source, native::ISA::Shim, Header + "\n"));
+
+  // compileAndLoad keys on the header its compiler command includes.
+  std::string Error;
+  ASSERT_NE(native::compileAndLoad(Source, native::ISA::Shim, &Error), nullptr)
+      << Error;
+  std::string So = strf("%s/nk_%016llx.so", native::nativeCacheDir().c_str(),
+                        static_cast<unsigned long long>(Key));
+  EXPECT_TRUE(std::filesystem::exists(So));
+  std::error_code EC;
+  std::filesystem::remove(So, EC); // A one-off TU; keep the store small.
 }
 
 TEST(NativeBatch, ManyKernelsOneModule) {
