@@ -104,8 +104,12 @@ TEST(Prologue, MisalignedStoreSplicesOldBytes) {
   EXPECT_EQ(countOps(R.Program->getSetup(), vir::VOpcode::VSplice), 1u);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are indeterminate and made
+// the case names differ from one build or working directory to the next.
+// Hence the 64-bit StoreAlign next to the 64-bit UB.
 struct EpilogueCase {
-  unsigned StoreAlign;
+  int64_t StoreAlign;
   int64_t UB;
   unsigned ExpectFullStores;    // Unpredicated full epilogue stores.
   unsigned ExpectPartialStores; // Splice-backed epilogue stores.
