@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,9 +33,22 @@ using namespace simdize::native;
 
 namespace {
 
+/// What one build of a key produced; every call that waited on that
+/// build gets the same one.
+struct BuildResult {
+  const CompiledModule *Module = nullptr; ///< nullptr: the build failed.
+  std::string Error;
+};
+
+/// Guarded by Mu: map lookups and counter updates only. The compiler and
+/// dlopen run without it.
 struct CacheState {
   std::mutex Mu;
   std::map<uint64_t, std::unique_ptr<CompiledModule>> Loaded;
+  /// At most one build per key in flight. A build leaves its entry when
+  /// it ends; a failed one adds nothing to Loaded, so the next call for
+  /// the key runs the compiler again.
+  std::map<uint64_t, std::shared_future<BuildResult>> InFlight;
   NativeCompileStats Stats;
 };
 
@@ -108,19 +122,18 @@ uint64_t native::compileCacheKey(const std::string &Source, ISA Isa,
                                             Header + "\x1f" + Source);
 }
 
-const CompiledModule *native::compileAndLoad(const std::string &Source,
-                                             ISA Isa, std::string *Error) {
+namespace {
+
+/// Where a build found the .so it loaded.
+enum class SoOrigin { None, Compiled, Disk };
+
+/// Compiles \p Source into the on-disk store as nk_<Key>.so unless it is
+/// there already, then dlopens it. Runs without the cache lock. Returns
+/// the handle, or nullptr with \p Error set.
+void *buildAndOpen(const std::string &Source, ISA Isa, uint64_t Key,
+                   SoOrigin &Origin, std::string &Error) {
   std::string Compiler = compilerPath();
   std::string Flags = compileFlags(Isa);
-  uint64_t Key = compileCacheKey(Source, Isa, wrapperHeader());
-
-  CacheState &C = cache();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  if (auto It = C.Loaded.find(Key); It != C.Loaded.end()) {
-    ++C.Stats.MemoryHits;
-    return It->second.get();
-  }
-
   std::string Dir = nativeCacheDir();
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
@@ -131,15 +144,19 @@ const CompiledModule *native::compileAndLoad(const std::string &Source,
   if (!std::filesystem::exists(So)) {
     // Build into process-unique temporaries, then publish the .so with an
     // atomic rename so concurrent fuzz shards never load a half-written
-    // object.
+    // object. Single-flight is what keeps these pid-tagged names unique
+    // within a process.
     std::string Tag = strf(".%ld", static_cast<long>(getpid()));
     std::string Cpp = Stem + Tag + ".cpp";
     std::string SoTmp = So + Tag;
     std::string Log = Stem + Tag + ".log";
+    auto RemoveTemporaries = [&] {
+      std::filesystem::remove(Cpp, EC);
+      std::filesystem::remove(SoTmp, EC);
+      std::filesystem::remove(Log, EC);
+    };
     if (!writeFile(Cpp, Source)) {
-      ++C.Stats.Failures;
-      if (Error)
-        *Error = "cannot write kernel source under " + Dir;
+      Error = "cannot write kernel source under " + Dir;
       return nullptr;
     }
     std::string Cmd =
@@ -148,45 +165,98 @@ const CompiledModule *native::compileAndLoad(const std::string &Source,
              SoTmp.c_str(), Cpp.c_str(), Log.c_str());
     int Rc = std::system(Cmd.c_str());
     if (Rc != 0) {
-      ++C.Stats.Failures;
-      if (Error)
-        *Error = strf("'%s' failed (exit %d): %s", Compiler.c_str(), Rc,
-                      readFile(Log).c_str());
-      std::filesystem::remove(Cpp, EC);
-      std::filesystem::remove(SoTmp, EC);
-      std::filesystem::remove(Log, EC);
+      Error = strf("'%s' failed (exit %d): %s", Compiler.c_str(), Rc,
+                   readFile(Log).c_str());
+      RemoveTemporaries();
       return nullptr;
     }
     std::filesystem::rename(SoTmp, So, EC);
     if (EC) {
-      ++C.Stats.Failures;
-      if (Error)
-        *Error = "cannot publish " + So + ": " + EC.message();
+      Error = "cannot publish " + So + ": " + EC.message();
+      RemoveTemporaries();
       return nullptr;
     }
     std::filesystem::remove(Cpp, EC);
     std::filesystem::remove(Log, EC);
-    ++C.Stats.Compiles;
+    Origin = SoOrigin::Compiled;
   } else {
-    ++C.Stats.DiskHits;
+    Origin = SoOrigin::Disk;
   }
 
   void *Handle = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
-    ++C.Stats.Failures;
-    if (Error) {
-      const char *Why = dlerror();
-      *Error = "dlopen(" + So + ") failed: " + (Why ? Why : "unknown");
-    }
+    const char *Why = dlerror();
+    Error = "dlopen(" + So + ") failed: " + (Why ? Why : "unknown");
     // A stale or truncated cache entry must not wedge the tier; drop it
     // so the next request recompiles.
     std::filesystem::remove(So, EC);
-    return nullptr;
   }
-  auto Module = std::make_unique<CompiledModule>(Handle);
-  const CompiledModule *Out = Module.get();
-  C.Loaded.emplace(Key, std::move(Module));
-  return Out;
+  return Handle;
+}
+
+} // namespace
+
+const CompiledModule *native::compileAndLoad(const std::string &Source,
+                                             ISA Isa, std::string *Error) {
+  uint64_t Key = compileCacheKey(Source, Isa, wrapperHeader());
+  CacheState &C = cache();
+  std::promise<BuildResult> Promise;
+  std::shared_future<BuildResult> Pending;
+  {
+    std::lock_guard<std::mutex> Lock(C.Mu);
+    if (auto It = C.Loaded.find(Key); It != C.Loaded.end()) {
+      ++C.Stats.MemoryHits;
+      return It->second.get();
+    }
+    auto [It, First] = C.InFlight.try_emplace(Key);
+    if (First)
+      It->second = Promise.get_future().share();
+    else
+      Pending = It->second;
+  }
+
+  BuildResult Result;
+  if (Pending.valid()) {
+    // Another call is building this key: share its module or its error.
+    Result = Pending.get();
+    std::lock_guard<std::mutex> Lock(C.Mu);
+    if (Result.Module)
+      ++C.Stats.MemoryHits;
+    else
+      ++C.Stats.Failures;
+  } else {
+    SoOrigin Origin = SoOrigin::None;
+    std::unique_ptr<CompiledModule> Module;
+    try {
+      if (void *Handle = buildAndOpen(Source, Isa, Key, Origin, Result.Error))
+        Module = std::make_unique<CompiledModule>(Handle);
+    } catch (...) {
+      // Leave no entry behind to wedge the key; waiters rethrow.
+      {
+        std::lock_guard<std::mutex> Lock(C.Mu);
+        C.InFlight.erase(Key);
+      }
+      Promise.set_exception(std::current_exception());
+      throw;
+    }
+    Result.Module = Module.get();
+    {
+      std::lock_guard<std::mutex> Lock(C.Mu);
+      C.InFlight.erase(Key);
+      if (Origin == SoOrigin::Compiled)
+        ++C.Stats.Compiles;
+      else if (Origin == SoOrigin::Disk)
+        ++C.Stats.DiskHits;
+      if (Module)
+        C.Loaded.emplace(Key, std::move(Module));
+      else
+        ++C.Stats.Failures;
+    }
+    Promise.set_value(Result);
+  }
+  if (!Result.Module && Error)
+    *Error = Result.Error;
+  return Result.Module;
 }
 
 NativeCompileStats native::nativeCompileStats() {

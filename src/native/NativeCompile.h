@@ -14,6 +14,12 @@
 /// generator, toolchain or simdize_x86.h misses rather than reusing a
 /// kernel built from other code (up to a 64-bit hash collision).
 ///
+/// Thread safety: compileAndLoad may be called from any thread. Calls for
+/// different keys compile concurrently; calls for the same key share one
+/// build (one compiler run, one module or one error). Failures are not
+/// cached, so the next call for a failed key runs the compiler again. A
+/// hung compiler stalls only the callers of its key.
+///
 /// The compiler defaults to the one this project was built with
 /// (SIMDIZE_NATIVE_CXX, set by CMake); the SIMDIZE_NATIVE_CXX environment
 /// variable overrides it, and SIMDIZE_NATIVE_CACHE overrides the on-disk
@@ -48,9 +54,11 @@ private:
 /// Cache effectiveness counters for one process.
 struct NativeCompileStats {
   uint64_t Compiles = 0;    ///< Compiler actually invoked.
-  uint64_t MemoryHits = 0;  ///< Served from the in-process handle map.
+  uint64_t MemoryHits = 0;  ///< Served from the in-process handle map or
+                            ///< by another call's build of the same key.
   uint64_t DiskHits = 0;    ///< .so found on disk; dlopen only.
-  uint64_t Failures = 0;    ///< Compiler or dlopen failed.
+  uint64_t Failures = 0;    ///< Calls that got no module: compiler or
+                            ///< dlopen failed.
 };
 
 /// The cache key of compiling \p Source for \p Isa against the wrapper
@@ -62,7 +70,12 @@ uint64_t compileCacheKey(const std::string &Source, ISA Isa,
 
 /// Compiles \p Source for \p Isa into a cached shared object and loads
 /// it. Returns the loaded module, or nullptr with \p Error set (the
-/// compiler's stderr when compilation failed).
+/// compiler's stderr when compilation failed). Thread-safe: the cache
+/// lock covers only lookups and counters, never the compiler or dlopen.
+/// Different keys compile concurrently; concurrent calls for one key
+/// wait for a single build and all get its module or its error. A
+/// failure is not cached, and a hung compiler stalls only the callers
+/// of its key.
 const CompiledModule *compileAndLoad(const std::string &Source, ISA Isa,
                                      std::string *Error);
 

@@ -10,8 +10,8 @@
 /// the portable shim at V = 32/64 (vshiftpair/vsplice edge lanes,
 /// truncating loads/stores, predicated epilogue stores) compiled and run
 /// like LowerToCTest, the hardware ISAs gated on host support, the
-/// content-hash compile cache, batched multi-kernel modules, and the
-/// pipeline facade's native execution tier.
+/// content-hash compile cache and its concurrent callers, batched
+/// multi-kernel modules, and the pipeline facade's native execution tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +29,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <random>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace simdize;
 
@@ -311,6 +320,219 @@ TEST(NativeCache, KeyCoversWrapperHeader) {
   EXPECT_TRUE(std::filesystem::exists(So));
   std::error_code EC;
   std::filesystem::remove(So, EC); // A one-off TU; keep the store small.
+}
+
+/// A one-function TU that is new to every cache.
+std::string nonceTU(const char *Fn) {
+  std::random_device Rd;
+  return strf("extern \"C\" int %s() { return 7; }\n// nonce %08x%08x\n", Fn,
+              Rd(), Rd());
+}
+
+/// A fresh on-disk store and a wrapper compiler for one test, installed
+/// through SIMDIZE_NATIVE_CACHE and SIMDIZE_NATIVE_CXX until destruction.
+/// The wrapper counts its runs, holds a TU containing BlockMarker until
+/// release() (at most 30 s), then runs the real compiler. For a TU
+/// containing SquatMarker it then occupies the final nk_<key>.so path
+/// with a non-empty directory, so publishing the .so fails.
+class CompilerSandbox {
+public:
+  static constexpr const char *BlockMarker = "SIMDIZE_TEST_BLOCK";
+  static constexpr const char *SquatMarker = "SIMDIZE_TEST_SQUAT";
+
+  explicit CompilerSandbox(const char *Name)
+      : Dir(std::filesystem::temp_directory_path() /
+            strf("simdize-cache-test-%ld-%s", static_cast<long>(getpid()),
+                 Name)) {
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir / "store");
+    std::string Script = path("cxx.sh");
+    std::ofstream Out(Script);
+    Out << "#!/bin/sh\n"
+        << "echo >> '" << path("calls") << "'\n"
+        // The TU is the last argument; the .so goes to nk_<key>.so.<pid>.
+        << "Prev=; for Arg; do [ \"$Prev\" = -o ] && Out=$Arg; "
+        << "Prev=$Arg; Tu=$Arg; done\n"
+        << "if grep -q " << BlockMarker << " \"$Tu\"; then\n"
+        << "  : > '" << path("blocked") << "'\n"
+        << "  N=0\n"
+        << "  while [ ! -e '" << path("release") << "' ] && [ $N -lt 300 ]; "
+        << "do sleep 0.1; N=$((N + 1)); done\n"
+        << "fi\n"
+        << "if grep -q " << SquatMarker << " \"$Tu\"; then\n"
+        << "  '" SIMDIZE_TEST_CXX "' \"$@\" || exit 1\n"
+        << "  exec mkdir -p \"${Out%.*}/squat\"\n"
+        << "fi\n"
+        << "exec '" SIMDIZE_TEST_CXX "' \"$@\"\n";
+    Out.close();
+    std::filesystem::permissions(Script, std::filesystem::perms::owner_exec,
+                                 std::filesystem::perm_options::add);
+    setEnv("SIMDIZE_NATIVE_CXX", Script);
+    setEnv("SIMDIZE_NATIVE_CACHE", path("store"));
+  }
+  ~CompilerSandbox() {
+    for (auto &[Name, Old] : Saved) {
+      if (Old)
+        setenv(Name, Old->c_str(), 1);
+      else
+        unsetenv(Name);
+    }
+    std::error_code EC;
+    std::filesystem::remove_all(Dir, EC);
+  }
+  CompilerSandbox(const CompilerSandbox &) = delete;
+  CompilerSandbox &operator=(const CompilerSandbox &) = delete;
+
+  std::string path(const char *Leaf) const { return (Dir / Leaf).string(); }
+
+  /// Compiler runs so far (one byte per run).
+  uintmax_t calls() const {
+    std::error_code EC;
+    uintmax_t Bytes = std::filesystem::file_size(path("calls"), EC);
+    return EC ? 0 : Bytes;
+  }
+
+  /// Waits up to 30 s for the wrapper to start holding a marker TU.
+  bool waitUntilBlocked() const {
+    for (int I = 0; I < 3000; ++I) {
+      if (std::filesystem::exists(path("blocked")))
+        return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }
+
+  void release() const { std::ofstream Touch(path("release")); }
+
+  /// Every file the store holds, for leak checks.
+  std::vector<std::string> storeFiles() const {
+    std::vector<std::string> Files;
+    for (const auto &E : std::filesystem::directory_iterator(Dir / "store"))
+      Files.push_back(E.path().filename().string());
+    return Files;
+  }
+
+private:
+  void setEnv(const char *Name, const std::string &Value) {
+    const char *Old = std::getenv(Name);
+    Saved.emplace_back(Name, Old ? std::optional<std::string>(Old)
+                                 : std::nullopt);
+    setenv(Name, Value.c_str(), 1);
+  }
+
+  std::filesystem::path Dir;
+  std::vector<std::pair<const char *, std::optional<std::string>>> Saved;
+};
+
+struct CompileOutcome {
+  const native::CompiledModule *Module = nullptr;
+  std::string Error;
+};
+
+/// compileAndLoad(\p Source) from \p N threads at once.
+std::vector<CompileOutcome> compileConcurrently(const std::string &Source,
+                                                int N) {
+  std::vector<CompileOutcome> Out(N);
+  std::vector<std::thread> Threads;
+  for (CompileOutcome &O : Out)
+    Threads.emplace_back([&Source, &O] {
+      O.Module = native::compileAndLoad(Source, native::ISA::Shim, &O.Error);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  return Out;
+}
+
+TEST(NativeCache, BlockedCompileDoesNotStallOtherKeys) {
+  // A compiler that hangs on one key must not hold up compiles of others.
+  CompilerSandbox Box("blocked");
+  std::string Marked =
+      strf("// %s\n", CompilerSandbox::BlockMarker) + nonceTU("slow_probe");
+  const native::CompiledModule *Slow = nullptr;
+  std::string SlowError;
+  std::atomic<bool> SlowDone{false};
+  std::thread T([&] {
+    Slow = native::compileAndLoad(Marked, native::ISA::Shim, &SlowError);
+    SlowDone = true;
+  });
+  bool Blocked = Box.waitUntilBlocked();
+  const native::CompiledModule *Fast = nullptr;
+  std::string Error;
+  if (Blocked)
+    Fast = native::compileAndLoad(nonceTU("fast_probe"), native::ISA::Shim,
+                                  &Error);
+  bool SlowStillBlocked = !SlowDone;
+  Box.release();
+  T.join();
+
+  ASSERT_TRUE(Blocked) << "the wrapper compiler never held the marker TU";
+  ASSERT_NE(Fast, nullptr) << Error;
+  EXPECT_NE(Fast->symbol("fast_probe"), nullptr);
+  EXPECT_TRUE(SlowStillBlocked)
+      << "the compile of another key waited for the blocked one";
+  ASSERT_NE(Slow, nullptr) << SlowError;
+  EXPECT_NE(Slow->symbol("slow_probe"), nullptr);
+}
+
+TEST(NativeCache, ConcurrentSameKeyCompilesOnce) {
+  CompilerSandbox Box("same-key");
+  native::NativeCompileStats Before = native::nativeCompileStats();
+  std::vector<CompileOutcome> Got =
+      compileConcurrently(nonceTU("shared_probe"), 8);
+  native::NativeCompileStats After = native::nativeCompileStats();
+
+  ASSERT_NE(Got[0].Module, nullptr) << Got[0].Error;
+  for (const CompileOutcome &O : Got)
+    EXPECT_EQ(O.Module, Got[0].Module) << O.Error;
+  EXPECT_EQ(After.Compiles, Before.Compiles + 1);
+  EXPECT_EQ(After.MemoryHits, Before.MemoryHits + 7);
+  EXPECT_EQ(Box.calls(), 1u);
+}
+
+TEST(NativeCache, CompileFailureReportsAndIsNotCached) {
+  CompilerSandbox Box("failure");
+  std::random_device Rd;
+  std::string Why = strf("simdize probe failure %08x%08x", Rd(), Rd());
+  std::string Source = "#error " + Why + "\n";
+  native::NativeCompileStats Before = native::nativeCompileStats();
+  std::vector<CompileOutcome> Got = compileConcurrently(Source, 4);
+  native::NativeCompileStats After = native::nativeCompileStats();
+
+  for (const CompileOutcome &O : Got) {
+    EXPECT_EQ(O.Module, nullptr);
+    EXPECT_NE(O.Error.find(Why), std::string::npos) << O.Error;
+  }
+  EXPECT_EQ(After.Compiles, Before.Compiles);
+  EXPECT_EQ(After.Failures, Before.Failures + 4); // One per failed call.
+  uintmax_t Runs = Box.calls();
+  EXPECT_GE(Runs, 1u);
+  EXPECT_LE(Runs, 4u);
+  // The failed builds cleaned up their nk_<key>.* temporaries.
+  std::vector<std::string> Left = Box.storeFiles();
+  EXPECT_TRUE(Left.empty()) << Left.size() << " files left, e.g. "
+                            << (Left.empty() ? "" : Left.front());
+
+  // Failures are not cached: the next call runs the compiler again.
+  std::string Error;
+  EXPECT_EQ(native::compileAndLoad(Source, native::ISA::Shim, &Error),
+            nullptr);
+  EXPECT_NE(Error.find(Why), std::string::npos) << Error;
+  EXPECT_EQ(Box.calls(), Runs + 1);
+}
+
+TEST(NativeCache, PublishFailureRemovesTemporaries) {
+  // The compile succeeds but its .so cannot be renamed into place.
+  CompilerSandbox Box("publish");
+  std::string Source =
+      strf("// %s\n", CompilerSandbox::SquatMarker) + nonceTU("squat_probe");
+  std::string Error;
+  EXPECT_EQ(native::compileAndLoad(Source, native::ISA::Shim, &Error),
+            nullptr);
+  EXPECT_NE(Error.find("cannot publish"), std::string::npos) << Error;
+  // Only the squatting directory is left: no .cpp, .log or .so.<pid>.
+  std::vector<std::string> Left = Box.storeFiles();
+  ASSERT_EQ(Left.size(), 1u) << Left.size() << " files left";
+  EXPECT_EQ(Left.front().substr(Left.front().size() - 3), ".so");
 }
 
 TEST(NativeBatch, ManyKernelsOneModule) {
