@@ -8,6 +8,9 @@
 
 #include "support/MathExtras.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace simdize;
 using namespace simdize::codegen;
 using namespace simdize::vir;
@@ -102,7 +105,12 @@ VRegId CodeGenContext::getSplatReg(int64_t Value) {
 VRegId CodeGenContext::getParamSplatReg(const ir::Param *P) {
   if (auto It = ParamSplatRegs.find(P); It != ParamSplatRegs.end())
     return It->second;
-  SRegId Scalar = Program.declareScalarParam(P->getActualValue());
+  const auto &Params = Loop.getParams();
+  auto Pos = std::find_if(Params.begin(), Params.end(),
+                          [P](const auto &Q) { return Q.get() == P; });
+  assert(Pos != Params.end() && "parameter of another loop");
+  SRegId Scalar = Program.declareScalarParam(
+      static_cast<unsigned>(Pos - Params.begin()), P->getActualValue());
   VRegId Reg = Program.allocVReg();
   VInst Splat = VInst::makeVSplatReg(Reg, Scalar, getElemSize());
   Splat.Comment = "splat of parameter " + P->getName();

@@ -156,7 +156,7 @@ const char *binOpSpelling(BinOpKind Op);
 
 /// Returns an instruction-style mnemonic ("add", "sub", "mul", "min",
 /// "max", "and", "or", "xor") used by the vector IR printer and the
-/// AltiVec emitter.
+/// native kernel emitter.
 const char *binOpMnemonic(BinOpKind Op);
 
 /// Returns true for operators that may be freely regrouped and reordered.

@@ -7,7 +7,6 @@
 #include "native/NativeEmitter.h"
 
 #include "ir/Loop.h"
-#include "lower/KernelEmitter.h"
 #include "support/Debug.h"
 #include "support/Format.h"
 #include "vir/VProgram.h"
@@ -18,64 +17,280 @@ using namespace simdize::vir;
 
 namespace {
 
-/// Selects the vx_* operation for each vector instruction; everything
-/// else is the shared lower::KernelEmitter scaffolding.
-class NativeKernelEmitter final : public lower::KernelEmitter {
+/// The kernel signature (no trailing `{`):
+///   void FnName(unsigned char *<array0>, ..., long <param0>, ..., long ub)
+std::string signature(const ir::Loop &L, const std::string &FnName) {
+  std::string Out = "void " + FnName + "(";
+  for (const auto &A : L.getArrays())
+    Out += strf("unsigned char *%s, ", A->getName().c_str());
+  for (const auto &Prm : L.getParams())
+    Out += strf("long %s, ", Prm->getName().c_str());
+  Out += "long ub)";
+  return Out;
+}
+
+/// The `extern "C"` memory-image adapter for \p FnName. \p ArrayBases are
+/// the byte offsets of \p L's arrays inside the image, in array
+/// declaration order; the second argument packs [<param0>, ..., ub].
+std::string emitImageWrapper(const ir::Loop &L, const std::string &FnName,
+                             const std::vector<int64_t> &ArrayBases) {
+  std::string Out;
+  Out += "extern \"C\" void " + FnName +
+         "_image(unsigned char *Image, const long *Args) {\n";
+  Out += "  " + FnName + "(";
+  for (size_t K = 0; K < L.getArrays().size(); ++K)
+    Out += strf("Image + %lld, ", static_cast<long long>(ArrayBases[K]));
+  for (size_t K = 0; K < L.getParams().size(); ++K)
+    Out += strf("Args[%zu], ", K);
+  Out += strf("Args[%zu]);\n", L.getParams().size());
+  Out += "}\n";
+  return Out;
+}
+
+const char *laneSuffix(unsigned ElemSize) {
+  switch (ElemSize) {
+  case 1:
+    return "i8";
+  case 2:
+    return "i16";
+  case 4:
+    return "i32";
+  }
+  simdize_unreachable("unsupported lane width");
+}
+
+/// A scalar operand: "s<reg>" or the immediate.
+std::string operand(const ScalarOperand &Op) {
+  if (Op.IsReg)
+    return strf("s%u", Op.Reg.Id);
+  return strf("%lld", static_cast<long long>(Op.Imm));
+}
+
+/// Byte address of a stride-one access.
+std::string address(const Address &A) {
+  std::string Index = A.Index
+                          ? strf("s%u", A.Index->Id)
+                          : strf("%lld", static_cast<long long>(A.ConstIndex));
+  return strf("%s + %u * ((%s) + (%lld))", A.Base->getName().c_str(),
+              A.Base->getElemSize(), Index.c_str(),
+              static_cast<long long>(A.ElemOffset));
+}
+
+/// Renders one program as a C++ function over the vx_* wrappers: the
+/// signature, register declarations, parameter binding, the Setup /
+/// steady-loop / Epilogue skeleton, and one statement per instruction.
+class KernelEmitter {
 public:
-  using KernelEmitter::KernelEmitter;
+  KernelEmitter(const VProgram &P, const ir::Loop &L) : P(P), L(L) {}
+
+  std::string emitKernel(const std::string &FnName) const;
 
 private:
-  std::string vectorType() const override { return "vx_t"; }
+  std::string stmt(const VInst &I) const;
+  std::string bareStmt(const VInst &I) const;
 
-  std::string vectorStmt(const VInst &I) const override {
-    switch (I.Op) {
-    case VOpcode::VLoad:
-      return strf("v%u = vx_ld(%s);", I.VDst.Id, address(I.Addr).c_str());
-    case VOpcode::VStore:
-      return strf("vx_st(%s, v%u);", address(I.Addr).c_str(), I.VSrc1.Id);
-    case VOpcode::VSplat:
-      return strf("v%u = vx_splat_%s(%s);", I.VDst.Id,
-                  laneSuffix(I.ElemSize), operand(I.SOp1).c_str());
-    case VOpcode::VShiftPair: {
-      if (I.SOp1.isImm()) {
-        int64_t Shift = I.SOp1.getImm();
-        if (Shift == 0)
-          return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
-        if (Shift == static_cast<int64_t>(P.getVectorLen()))
-          return strf("v%u = v%u;", I.VDst.Id, I.VSrc2.Id);
-        return strf("v%u = vx_sld<%lld>(v%u, v%u);", I.VDst.Id,
-                    static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id);
-      }
-      return strf("v%u = vx_shiftpair(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, operand(I.SOp1).c_str());
+  const VProgram &P;
+  const ir::Loop &L;
+};
+
+std::string KernelEmitter::emitKernel(const std::string &FnName) const {
+  std::string Out = signature(L, FnName) + " {\n";
+  Out += "  (void)ub;\n";
+
+  // Register declarations. Only registers the program references are
+  // declared: dead-code elimination leaves renumbering gaps, and the
+  // emitted kernel must compile cleanly under -Wall -Wextra -Werror.
+  std::vector<bool> VUsed(P.getNumVRegs(), false);
+  std::vector<bool> SUsed(P.getNumSRegs(), false);
+  auto MarkV = [&](VRegId R) {
+    if (R.isValid() && R.Id < VUsed.size())
+      VUsed[R.Id] = true;
+  };
+  auto MarkS = [&](SRegId R) {
+    if (R.isValid() && R.Id < SUsed.size())
+      SUsed[R.Id] = true;
+  };
+  auto MarkOp = [&](const ScalarOperand &Op) {
+    if (Op.IsReg)
+      MarkS(Op.Reg);
+  };
+  auto MarkInst = [&](const VInst &I) {
+    MarkV(I.VDst);
+    MarkV(I.VSrc1);
+    MarkV(I.VSrc2);
+    MarkV(I.VSrc3);
+    MarkS(I.SDst);
+    MarkOp(I.SOp1);
+    MarkOp(I.SOp2);
+    if (I.Addr.Index)
+      MarkS(*I.Addr.Index);
+    if (I.Predicate)
+      MarkS(*I.Predicate);
+  };
+  for (const VInst &I : P.getSetup())
+    MarkInst(I);
+  for (const VInst &I : P.getBody())
+    MarkInst(I);
+  for (const VInst &I : P.getEpilogue())
+    MarkInst(I);
+  MarkS(P.getIndexReg());
+  MarkOp(P.getLowerBound());
+  MarkOp(P.getUpperBound());
+  if (P.hasTripCountParam())
+    MarkS(P.getTripCountParam());
+  for (auto [Reg, Value] : P.getScalarParams()) {
+    (void)Value;
+    MarkS(Reg);
+  }
+
+  std::string VDecl, SDecl;
+  for (unsigned K = 0; K < P.getNumVRegs(); ++K)
+    if (VUsed[K])
+      VDecl += strf("%s v%u{}", VDecl.empty() ? "" : ",", K);
+  for (unsigned K = 0; K < P.getNumSRegs(); ++K)
+    if (SUsed[K])
+      SDecl += strf("%s s%u = 0", SDecl.empty() ? "" : ",", K);
+  if (!VDecl.empty())
+    Out += "  vx_t" + VDecl + ";\n";
+  if (!SDecl.empty())
+    Out += "  long" + SDecl + ";\n";
+  if (P.hasTripCountParam())
+    Out += strf("  s%u = ub;\n", P.getTripCountParam().Id);
+  // Bind each parameter register to the argument it was declared for.
+  // Registers are declared at first use, not in argument order, and an
+  // argument no statement reads still needs a use under -Werror.
+  const auto &Params = L.getParams();
+  std::vector<bool> Bound(Params.size(), false);
+  for (size_t K = 0; K < P.getScalarParams().size(); ++K) {
+    unsigned Index = P.getScalarParamIndices()[K];
+    Out += strf("  s%u = %s;\n", P.getScalarParams()[K].first.Id,
+                Params[Index]->getName().c_str());
+    Bound[Index] = true;
+  }
+  for (size_t K = 0; K < Params.size(); ++K)
+    if (!Bound[K])
+      Out += strf("  (void)%s;\n", Params[K]->getName().c_str());
+
+  for (const VInst &I : P.getSetup())
+    Out += "  " + stmt(I) + "\n";
+
+  Out += strf("  for (s%u = %s; s%u < %s; s%u += %u) {\n",
+              P.getIndexReg().Id, operand(P.getLowerBound()).c_str(),
+              P.getIndexReg().Id, operand(P.getUpperBound()).c_str(),
+              P.getIndexReg().Id, P.getLoopStep());
+  for (const VInst &I : P.getBody())
+    Out += "    " + stmt(I) + "\n";
+  Out += "  }\n";
+
+  for (const VInst &I : P.getEpilogue())
+    Out += "  " + stmt(I) + "\n";
+  Out += "}\n";
+  return Out;
+}
+
+std::string KernelEmitter::stmt(const VInst &I) const {
+  std::string S = bareStmt(I);
+  if (I.Predicate)
+    S = strf("if (s%u) { ", I.Predicate->Id) + S + " }";
+  if (!I.Comment.empty())
+    S += "  // " + I.Comment;
+  return S;
+}
+
+std::string KernelEmitter::bareStmt(const VInst &I) const {
+  switch (I.Op) {
+  case VOpcode::VLoad:
+    return strf("v%u = vx_ld(%s);", I.VDst.Id, address(I.Addr).c_str());
+  case VOpcode::VStore:
+    return strf("vx_st(%s, v%u);", address(I.Addr).c_str(), I.VSrc1.Id);
+  case VOpcode::VSplat:
+    return strf("v%u = vx_splat_%s(%s);", I.VDst.Id, laneSuffix(I.ElemSize),
+                operand(I.SOp1).c_str());
+  case VOpcode::VShiftPair: {
+    if (I.SOp1.isImm()) {
+      int64_t Shift = I.SOp1.getImm();
+      if (Shift == 0)
+        return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
+      if (Shift == static_cast<int64_t>(P.getVectorLen()))
+        return strf("v%u = v%u;", I.VDst.Id, I.VSrc2.Id);
+      return strf("v%u = vx_sld<%lld>(v%u, v%u);", I.VDst.Id,
+                  static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id);
     }
-    case VOpcode::VSplice:
-      return strf("v%u = vx_splice(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, operand(I.SOp1).c_str());
-    case VOpcode::VBinOp:
-      return strf("v%u = vx_%s_%s(v%u, v%u);", I.VDst.Id,
-                  ir::binOpMnemonic(I.VectorOp), laneSuffix(I.ElemSize),
-                  I.VSrc1.Id, I.VSrc2.Id);
-    case VOpcode::VCmp:
-      return strf("v%u = vx_cmp_%s_%s(v%u, v%u);", I.VDst.Id,
-                  sCmpName(I.CmpOp), laneSuffix(I.ElemSize), I.VSrc1.Id,
-                  I.VSrc2.Id);
-    case VOpcode::VSelect:
-      return strf("v%u = vx_sel(v%u, v%u, v%u);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, I.VSrc3.Id);
-    default:
+    return strf("v%u = vx_shiftpair(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, operand(I.SOp1).c_str());
+  }
+  case VOpcode::VSplice:
+    return strf("v%u = vx_splice(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, operand(I.SOp1).c_str());
+  case VOpcode::VBinOp:
+    return strf("v%u = vx_%s_%s(v%u, v%u);", I.VDst.Id,
+                ir::binOpMnemonic(I.VectorOp), laneSuffix(I.ElemSize),
+                I.VSrc1.Id, I.VSrc2.Id);
+  case VOpcode::VCmp:
+    return strf("v%u = vx_cmp_%s_%s(v%u, v%u);", I.VDst.Id,
+                sCmpName(I.CmpOp), laneSuffix(I.ElemSize), I.VSrc1.Id,
+                I.VSrc2.Id);
+  case VOpcode::VSelect:
+    return strf("v%u = vx_sel(v%u, v%u, v%u);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, I.VSrc3.Id);
+  case VOpcode::VCopy:
+    return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
+  case VOpcode::SConst:
+    return strf("s%u = %lld;", I.SDst.Id, static_cast<long long>(I.Imm));
+  case VOpcode::SBase:
+    return strf("s%u = (long)(uintptr_t)%s;", I.SDst.Id,
+                I.Addr.Base->getName().c_str());
+  case VOpcode::SBinOp: {
+    std::string A = operand(I.SOp1), B = operand(I.SOp2);
+    switch (I.ScalarOp) {
+    case SBinOpKind::Add:
+      return strf("s%u = (%s) + (%s);", I.SDst.Id, A.c_str(), B.c_str());
+    case SBinOpKind::Sub:
+      return strf("s%u = (%s) - (%s);", I.SDst.Id, A.c_str(), B.c_str());
+    case SBinOpKind::Mul:
+      return strf("s%u = (%s) * (%s);", I.SDst.Id, A.c_str(), B.c_str());
+    case SBinOpKind::And:
+      return strf("s%u = (%s) & (%s);", I.SDst.Id, A.c_str(), B.c_str());
+    case SBinOpKind::Mod:
+      return strf("s%u = (((%s) %% (%s)) + (%s)) %% (%s);", I.SDst.Id,
+                  A.c_str(), B.c_str(), B.c_str(), B.c_str());
+    }
+    simdize_unreachable("unknown scalar binop");
+  }
+  case VOpcode::SCmp: {
+    const char *Cmp = nullptr;
+    switch (I.CmpOp) {
+    case SCmpKind::LT:
+      Cmp = "<";
+      break;
+    case SCmpKind::LE:
+      Cmp = "<=";
+      break;
+    case SCmpKind::GT:
+      Cmp = ">";
+      break;
+    case SCmpKind::GE:
+      Cmp = ">=";
+      break;
+    case SCmpKind::EQ:
+      Cmp = "==";
+      break;
+    case SCmpKind::NE:
+      Cmp = "!=";
       break;
     }
-    simdize_unreachable("non-vector opcode in vectorStmt");
+    return strf("s%u = ((%s) %s (%s)) ? 1 : 0;", I.SDst.Id,
+                operand(I.SOp1).c_str(), Cmp, operand(I.SOp2).c_str());
   }
-};
+  }
+  simdize_unreachable("unknown opcode");
+}
 
 } // namespace
 
-lower::LowerResult
-native::emitNativeModule(const std::vector<KernelSpec> &Kernels,
-                         unsigned VectorLen, ISA Isa) {
-  lower::LowerResult Result;
+LowerResult native::emitNativeModule(const std::vector<KernelSpec> &Kernels,
+                                     unsigned VectorLen, ISA Isa) {
+  LowerResult Result;
   if (!isaSupportsWidth(Isa, VectorLen)) {
     Result.Error = strf(
         "native lowering: ISA %s cannot realize V = %u (sse2 pins 16, avx2 "
@@ -110,19 +325,16 @@ native::emitNativeModule(const std::vector<KernelSpec> &Kernels,
   Out += "#include \"simdize_x86.h\"\n";
   for (const KernelSpec &K : Kernels) {
     Out += "\n";
-    Out += NativeKernelEmitter(*K.Program, *K.Loop).emitKernel(K.Name);
+    Out += KernelEmitter(*K.Program, *K.Loop).emitKernel(K.Name);
     if (!K.ArrayBases.empty())
-      Out += lower::KernelEmitter::emitImageWrapper(*K.Loop, K.Name,
-                                                    K.ArrayBases);
+      Out += emitImageWrapper(*K.Loop, K.Name, K.ArrayBases);
   }
   Result.Code = std::move(Out);
   return Result;
 }
 
-lower::LowerResult native::emitNativeKernel(const vir::VProgram &P,
-                                            const ir::Loop &L,
-                                            const std::string &FnName,
-                                            ISA Isa) {
+LowerResult native::emitNativeKernel(const vir::VProgram &P, const ir::Loop &L,
+                                     const std::string &FnName, ISA Isa) {
   KernelSpec K;
   K.Program = &P;
   K.Loop = &L;

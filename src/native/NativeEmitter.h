@@ -5,21 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The native half of the instruction selection: renders compiled
+/// The target half of the SIMD code generation phase: renders compiled
 /// programs as C++ over the vx_* wrapper layer (simdize_x86.h), one
 /// translation unit per (vector width, ISA) pair, many kernels per unit
 /// so batch consumers (the differential ctest, the benches, the fuzzer)
-/// amortize one system-compiler invocation over a whole work list. The
-/// scaffolding — signature, parameter binding, loop skeleton, scalar
-/// instructions — is the shared lower::KernelEmitter, so this backend
-/// cannot drift from the AltiVec emitter on the ABI.
+/// amortize one system-compiler invocation over a whole work list.
+///
+/// Each kernel has the signature
+///
+///   void FnName(unsigned char *<array0>, ..., long <param0>, ..., long ub)
+///
+/// — one byte pointer per array of the loop in declaration order, one
+/// `long` per scalar parameter, then the trip count — and, on request, an
+/// `extern "C"` memory-image wrapper
+///
+///   void FnName_image(unsigned char *Image, const long *Args)
+///
+/// that bakes in the sim::MemoryLayout base offsets and forwards
+/// Args = [<param0>, ..., ub], so a dlopen'd kernel can run directly on a
+/// dumped sim::Memory image.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDIZE_NATIVE_NATIVEEMITTER_H
 #define SIMDIZE_NATIVE_NATIVEEMITTER_H
 
-#include "lower/AltiVecEmitter.h"
 #include "native/NativeISA.h"
 
 #include <cstdint>
@@ -36,6 +46,14 @@ class VProgram;
 } // namespace vir
 
 namespace native {
+
+/// Outcome of lowering: the translation unit, or the reason the request
+/// has no rendering.
+struct LowerResult {
+  std::string Code;
+  std::string Error;
+  bool ok() const { return Error.empty(); }
+};
 
 /// One kernel of a generated module.
 struct KernelSpec {
@@ -55,12 +73,12 @@ struct KernelSpec {
 /// \p Kernels, targeting \p Isa at width \p VectorLen. Fails (with a
 /// diagnostic, never a miscompile) when the ISA cannot realize the width
 /// or any program was simdized for a different width.
-lower::LowerResult emitNativeModule(const std::vector<KernelSpec> &Kernels,
-                                    unsigned VectorLen, ISA Isa);
+LowerResult emitNativeModule(const std::vector<KernelSpec> &Kernels,
+                             unsigned VectorLen, ISA Isa);
 
 /// Single-kernel convenience over emitNativeModule, no image adapter.
-lower::LowerResult emitNativeKernel(const vir::VProgram &P, const ir::Loop &L,
-                                    const std::string &FnName, ISA Isa);
+LowerResult emitNativeKernel(const vir::VProgram &P, const ir::Loop &L,
+                             const std::string &FnName, ISA Isa);
 
 } // namespace native
 } // namespace simdize

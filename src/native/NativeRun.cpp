@@ -88,7 +88,7 @@ bool NativeBatch::compile(std::string *Error) {
   Used = resolveISAForRun(VectorLen, Requested);
   Degraded = Used != Requested;
 
-  lower::LowerResult Lowered = emitNativeModule(Specs, VectorLen, Used);
+  LowerResult Lowered = emitNativeModule(Specs, VectorLen, Used);
   if (!Lowered.ok()) {
     if (Error)
       *Error = Lowered.Error;

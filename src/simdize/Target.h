@@ -7,12 +7,13 @@
 /// \file
 /// The paper's algorithms (stream offsets, vshiftstream placement, the
 /// prologue/steady/epilogue codegen of Figures 7 and 10) are written in
-/// terms of a symbolic vector byte-width V; only the AltiVec lowering is
-/// pinned to V = 16. Target captures everything the simdizer needs to know
-/// about the machine it is compiling for: the vector byte-width, which
-/// element sizes it can pack, and the alignment-truncation rule that maps
-/// an arbitrary byte address onto a vector-boundary offset (Section 2.1,
-/// "the memory architecture only supports V-byte aligned accesses").
+/// terms of a symbolic vector byte-width V; only each hardware ISA of the
+/// native tier pins one width (SSE2 16, AVX2 32, AVX-512 64). Target
+/// captures everything the simdizer needs to know about the machine it is
+/// compiling for: the vector byte-width, which element sizes it can pack,
+/// and the alignment-truncation rule that maps an arbitrary byte address
+/// onto a vector-boundary offset (Section 2.1, "the memory architecture
+/// only supports V-byte aligned accesses").
 ///
 /// Every compile-path layer consumes a Target (or its VectorLen) instead
 /// of a hard-coded 16: the reorg graph, the shift policies, codegen, the

@@ -125,16 +125,25 @@ public:
   }
 
   /// Declares a runtime scalar parameter (a kernel argument such as a
-  /// blend factor); the machine binds \p ActualValue to the returned
-  /// register before Setup runs, at zero cost.
-  SRegId declareScalarParam(int64_t ActualValue) {
+  /// blend factor), the loop's \p ParamIndex-th in declaration order; the
+  /// machine binds \p ActualValue to the returned register before Setup
+  /// runs, at zero cost.
+  SRegId declareScalarParam(unsigned ParamIndex, int64_t ActualValue) {
     SRegId R = allocSReg();
     ScalarParams.emplace_back(R, ActualValue);
+    ScalarParamIndices.push_back(ParamIndex);
     return R;
   }
 
   const std::vector<std::pair<SRegId, int64_t>> &getScalarParams() const {
     return ScalarParams;
+  }
+
+  /// The loop-parameter index of each getScalarParams() register, in the
+  /// same order. Registers are declared at first use, so this order need
+  /// not be the loop's declaration order.
+  const std::vector<unsigned> &getScalarParamIndices() const {
+    return ScalarParamIndices;
   }
 
   bool hasTripCountParam() const { return TripCountParam.isValid(); }
@@ -156,6 +165,7 @@ private:
   SRegId TripCountParam;
   int64_t TripCountValue = 0;
   std::vector<std::pair<SRegId, int64_t>> ScalarParams;
+  std::vector<unsigned> ScalarParamIndices;
   unsigned LoopStep = 0;
 
   Block Setup;

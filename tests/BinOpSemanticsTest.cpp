@@ -16,9 +16,9 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
+#include "native/NativeEmitter.h"
 #include "opt/OffsetReassoc.h"
 #include "opt/Pipeline.h"
-#include "lower/AltiVecEmitter.h"
 #include "parser/LoopParser.h"
 #include "sim/Checker.h"
 #include "sim/Machine.h"
@@ -164,8 +164,8 @@ TEST(BinOps, ParserHandlesCallsAndBitwise) {
 }
 
 TEST(BinOps, EmittedKernelsStillCompileConceptually) {
-  // Structural check that the emitter names the right shim calls; the
-  // compile-and-run coverage lives in LowerToCTest.
+  // Structural check that the emitter names the right wrapper calls; the
+  // compile-and-run coverage lives in NativeEmitterTest.
   ir::Loop L;
   ir::Array *Out = L.createArray("out", ir::ElemType::Int16, 64, 2, true);
   ir::Array *X = L.createArray("x", ir::ElemType::Int16, 64, 0, true);
@@ -173,11 +173,11 @@ TEST(BinOps, EmittedKernelsStillCompileConceptually) {
   L.setUpperBound(40, true);
   codegen::SimdizeResult R = codegen::simdize(L, codegen::SimdizeOptions());
   ASSERT_TRUE(R.ok()) << R.Error;
-  lower::LowerResult Lowered =
-      lower::emitAltiVecKernel(*R.Program, L, "kern");
+  native::LowerResult Lowered =
+      native::emitNativeKernel(*R.Program, L, "kern", native::ISA::Shim);
   ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
   const std::string &Src = Lowered.Code;
-  EXPECT_NE(Src.find("sv_max_i16("), std::string::npos);
+  EXPECT_NE(Src.find("vx_max_i16("), std::string::npos);
 }
 
 } // namespace

@@ -7,21 +7,22 @@
 /// \file
 /// The native backend end to end: structural checks on the emitted
 /// intrinsic text, ISA/width admissibility and CPUID-based degradation,
-/// the portable shim at V = 32/64 (vshiftpair/vsplice edge lanes,
-/// truncating loads/stores, predicated epilogue stores) compiled and run
-/// like LowerToCTest, the hardware ISAs gated on host support, the
-/// content-hash compile cache and its concurrent callers, batched
-/// multi-kernel modules, and the pipeline facade's native execution tier.
+/// compile-and-run of V = 16 schemes and kernels (runtime alignments and
+/// trip counts, parameters, min/max/bitwise, an i16 FIR) on the portable
+/// shim and the host ISA, the shim at V = 32/64 (vshiftpair/vsplice edge
+/// lanes, truncating loads/stores, predicated epilogue stores), the
+/// hardware ISAs gated on host support, the content-hash compile cache
+/// and its concurrent callers, batched multi-kernel modules, and the
+/// pipeline facade's native execution tier.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
 #include "ir/Loop.h"
-#include "lower/AltiVecEmitter.h"
-#include "lower/KernelEmitter.h"
 #include "native/NativeCompile.h"
 #include "native/NativeEmitter.h"
 #include "native/NativeRun.h"
+#include "parser/LoopParser.h"
 #include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
 #include "support/Format.h"
@@ -59,11 +60,13 @@ ir::Loop figureOneLoop(ir::ElemType Ty) {
 }
 
 vir::VProgram compileFor(const ir::Loop &L, unsigned V,
-                         policies::PolicyKind Policy, bool SP) {
+                         policies::PolicyKind Policy, bool SP,
+                         pipeline::OptLevel Opt = pipeline::OptLevel::Std) {
   pipeline::CompileRequest Req;
   Req.Simd.Policy = Policy;
   Req.Simd.SoftwarePipelining = SP;
   Req.Simd.Tgt = Target(V);
+  Req.Opt = Opt;
   pipeline::CompileResult R = pipeline::runPipeline(L, Req);
   EXPECT_TRUE(R.ok()) << R.error();
   return std::move(*R.Simd.Program);
@@ -72,13 +75,13 @@ vir::VProgram compileFor(const ir::Loop &L, unsigned V,
 TEST(NativeEmitter, StructuralMapping) {
   ir::Loop L = figureOneLoop(ir::ElemType::Int32);
   vir::VProgram P = compileFor(L, 32, policies::PolicyKind::Eager, false);
-  lower::LowerResult Lowered =
+  native::LowerResult Lowered =
       native::emitNativeKernel(P, L, "kern", native::ISA::AVX2);
   ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
   const std::string &Src = Lowered.Code;
 
   // The module selects the wrapper ISA/width and maps every vector op
-  // onto vx_* calls; the signature is the shared KernelEmitter one.
+  // onto vx_* calls.
   EXPECT_NE(Src.find("#define SIMDIZE_NATIVE_V 32"), std::string::npos);
   EXPECT_NE(Src.find("#define SIMDIZE_NATIVE_ISA_AVX2 1"),
             std::string::npos);
@@ -95,23 +98,10 @@ TEST(NativeEmitter, StructuralMapping) {
   EXPECT_EQ(Src.find("_image"), std::string::npos);
 }
 
-TEST(NativeEmitter, SharesSignatureWithAltiVec) {
-  ir::Loop L = figureOneLoop(ir::ElemType::Int32);
-  vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Zero, false);
-  lower::LowerResult Alti = lower::emitAltiVecKernel(P, L, "kern");
-  lower::LowerResult Nat =
-      native::emitNativeKernel(P, L, "kern", native::ISA::SSE2);
-  ASSERT_TRUE(Alti.ok());
-  ASSERT_TRUE(Nat.ok());
-  std::string Sig = lower::KernelEmitter::signature(L, "kern");
-  EXPECT_NE(Alti.Code.find(Sig), std::string::npos);
-  EXPECT_NE(Nat.Code.find(Sig), std::string::npos);
-}
-
 TEST(NativeEmitter, RejectsWidthISAMismatch) {
   ir::Loop L = figureOneLoop(ir::ElemType::Int32);
   vir::VProgram P = compileFor(L, 32, policies::PolicyKind::Zero, false);
-  lower::LowerResult R =
+  native::LowerResult R =
       native::emitNativeKernel(P, L, "kern", native::ISA::SSE2);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("cannot realize V = 32"), std::string::npos);
@@ -120,7 +110,7 @@ TEST(NativeEmitter, RejectsWidthISAMismatch) {
   vir::VProgram P16 = compileFor(L, 16, policies::PolicyKind::Zero, false);
   native::KernelSpec K1{&P, &L, "k0", {}};
   native::KernelSpec K2{&P16, &L, "k1", {}};
-  lower::LowerResult Mixed =
+  native::LowerResult Mixed =
       native::emitNativeModule({K1, K2}, 32, native::ISA::Shim);
   EXPECT_FALSE(Mixed.ok());
   EXPECT_NE(Mixed.Error.find("simdized for V = 16"), std::string::npos);
@@ -168,12 +158,136 @@ TEST(NativeISA, DegradationIsAlwaysRunnable) {
 /// scalar oracle.
 void expectNativeMatches(const ir::Loop &L, unsigned V,
                          policies::PolicyKind Policy, bool SP,
-                         native::ISA Isa, uint64_t Seed = 7) {
-  vir::VProgram P = compileFor(L, V, Policy, SP);
+                         native::ISA Isa, uint64_t Seed = 7,
+                         pipeline::OptLevel Opt = pipeline::OptLevel::Std) {
+  vir::VProgram P = compileFor(L, V, Policy, SP, Opt);
   sim::ReferenceImage Ref(L, V, Seed);
   std::optional<std::string> Err =
       native::diffNativeAgainstOracle(L, P, Ref, Isa);
   EXPECT_FALSE(Err.has_value()) << *Err;
+}
+
+/// expectNativeMatches at V = 16 on the portable shim and on the host's
+/// best 16-byte ISA.
+void expectNativeMatchesV16(const ir::Loop &L, policies::PolicyKind Policy,
+                            bool SP, pipeline::OptLevel Opt, uint64_t Seed) {
+  for (native::ISA Isa : {native::ISA::Shim, native::bestISAForWidth(16)})
+    expectNativeMatches(L, 16, Policy, SP, Isa, Seed, Opt);
+}
+
+struct SchemeCase {
+  policies::PolicyKind Policy;
+  bool SP;
+  bool AlignKnown;
+  bool UBKnown;
+  const char *Tag;
+};
+
+class CompileAndRun : public ::testing::TestWithParam<SchemeCase> {};
+
+TEST_P(CompileAndRun, MatchesScalarOracle) {
+  SchemeCase Case = GetParam();
+  synth::SynthParams P;
+  P.Statements = 2;
+  P.LoadsPerStmt = 3;
+  P.TripCount = 101;
+  P.AlignKnown = Case.AlignKnown;
+  P.UBKnown = Case.UBKnown;
+  P.Seed = 3131;
+  ir::Loop L = synth::synthesizeLoop(P);
+  // Predictive commoning where software pipelining is off.
+  expectNativeMatchesV16(L, Case.Policy, Case.SP,
+                         Case.SP ? pipeline::OptLevel::Std
+                                 : pipeline::OptLevel::PC,
+                         7171);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, CompileAndRun,
+    ::testing::Values(
+        SchemeCase{policies::PolicyKind::Lazy, true, true, true, "lazy_sp"},
+        SchemeCase{policies::PolicyKind::Dominant, false, true, true,
+                   "dom_pc"},
+        SchemeCase{policies::PolicyKind::Zero, true, false, false,
+                   "zero_rt"}),
+    [](const ::testing::TestParamInfo<SchemeCase> &Info) {
+      return std::string(Info.param.Tag);
+    });
+
+TEST(CompileAndRunExtra, RuntimeParameterKernel) {
+  // A runtime blend factor flows through the kernel's argument list into
+  // the splat.
+  ir::Loop L;
+  ir::Array *Out = L.createArray("out", ir::ElemType::Int32, 160, 4, true);
+  ir::Array *X = L.createArray("x", ir::ElemType::Int32, 160, 8, true);
+  ir::Param *Alpha = L.createParam("alpha", 37);
+  L.addStmt(Out, 1, ir::mul(ir::param(Alpha), ir::ref(X, 2)));
+  L.setUpperBound(120, true);
+  expectNativeMatchesV16(L, policies::PolicyKind::Lazy, true,
+                         pipeline::OptLevel::Std, 4242);
+}
+
+TEST(CompileAndRunExtra, MinMaxBitwiseKernel) {
+  ir::Loop L;
+  ir::Array *Out = L.createArray("out", ir::ElemType::Int8, 200, 3, true);
+  ir::Array *X = L.createArray("x", ir::ElemType::Int8, 200, 9, true);
+  ir::Array *Y = L.createArray("y", ir::ElemType::Int8, 200, 0, true);
+  L.addStmt(Out, 0,
+            ir::bitXor(ir::min(ir::ref(X, 1), ir::ref(Y, 0)),
+                       ir::max(ir::ref(X, 0), ir::splat(-3))));
+  L.setUpperBound(160, true);
+  expectNativeMatchesV16(L, policies::PolicyKind::Dominant, false,
+                         pipeline::OptLevel::PC, 9912);
+}
+
+TEST(CompileAndRunExtra, Int16FirFilter) {
+  ir::Loop L;
+  ir::Array *Y = L.createArray("y", ir::ElemType::Int16, 300, 2, true);
+  ir::Array *X = L.createArray("x", ir::ElemType::Int16, 300, 6, true);
+  auto Tap = [&](int64_t Coeff, int64_t Off) {
+    return ir::mul(ir::splat(Coeff), ir::ref(X, Off));
+  };
+  L.addStmt(Y, 0,
+            ir::add(ir::add(Tap(7, 0), Tap(-3, 1)),
+                    ir::add(Tap(5, 2), Tap(2, 3))));
+  L.setUpperBound(250, true);
+  expectNativeMatchesV16(L, policies::PolicyKind::Dominant, true,
+                         pipeline::OptLevel::Std, 8989);
+}
+
+TEST(NativeEmitter, BindsParametersByName) {
+  // Parameter registers are declared at first use, not in argument order:
+  // each must still bind the argument of its own name, and an argument no
+  // statement reads must still be used, or -Wextra -Werror rejects it.
+  const char *Stmts[] = {"o[i] = beta * x[i] + alpha", "o[i] = beta * x[i]",
+                         "o[i] = gamma * x[i+1] + beta"};
+  for (const char *Stmt : Stmts) {
+    parser::ParseResult R =
+        parser::parseLoop(std::string("array o i32 128 align 0\n"
+                                      "array x i32 128 align 4\n"
+                                      "param alpha 3\n"
+                                      "param beta 5\n"
+                                      "param gamma 7\n"
+                                      "loop 100\n") +
+                          Stmt + "\n");
+    ASSERT_TRUE(R.ok()) << R.Error;
+    const ir::Loop &L = *R.Loop;
+    vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Lazy, false);
+    native::LowerResult Lowered =
+        native::emitNativeKernel(P, L, "kern", native::ISA::Shim);
+    ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+    for (const auto &Prm : L.getParams()) {
+      const std::string &Name = Prm->getName();
+      bool Read = std::string(Stmt).find(Name) != std::string::npos;
+      EXPECT_NE(Lowered.Code.find(Read ? " = " + Name + ";"
+                                       : "(void)" + Name + ";"),
+                std::string::npos)
+          << Stmt << ": " << Name << "\n"
+          << Lowered.Code;
+    }
+    expectNativeMatchesV16(L, policies::PolicyKind::Lazy, false,
+                           pipeline::OptLevel::Std, 7);
+  }
 }
 
 // Satellite coverage: the portable shim at V = 32/64 — immediate
@@ -267,7 +381,7 @@ TEST(NativeHost, AutoISARunsEverywhere) {
 TEST(NativeCache, RepeatedCompileHitsCache) {
   ir::Loop L = figureOneLoop(ir::ElemType::Int16);
   vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Lazy, false);
-  lower::LowerResult Lowered =
+  native::LowerResult Lowered =
       native::emitNativeKernel(P, L, "cache_probe", native::ISA::Shim);
   ASSERT_TRUE(Lowered.ok());
 
@@ -291,7 +405,7 @@ TEST(NativeCache, KeyCoversWrapperHeader) {
   // serving kernels built from it.
   ir::Loop L = figureOneLoop(ir::ElemType::Int16);
   vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Eager, false);
-  lower::LowerResult Lowered =
+  native::LowerResult Lowered =
       native::emitNativeKernel(P, L, "header_probe", native::ISA::Shim);
   ASSERT_TRUE(Lowered.ok());
   // A nonce makes the TU new to every cache, so only the compile below

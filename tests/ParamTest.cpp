@@ -18,7 +18,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
 #include "ir/ScalarCost.h"
-#include "lower/AltiVecEmitter.h"
+#include "native/NativeEmitter.h"
 #include "opt/Pipeline.h"
 #include "parser/LoopParser.h"
 #include "sim/Checker.h"
@@ -164,8 +164,8 @@ TEST(Param, EmittedKernelTakesParameterArgument) {
   ir::Loop L = makeParamLoop(3);
   codegen::SimdizeResult R = codegen::simdize(L, codegen::SimdizeOptions());
   ASSERT_TRUE(R.ok()) << R.Error;
-  lower::LowerResult Lowered =
-      lower::emitAltiVecKernel(*R.Program, L, "kern");
+  native::LowerResult Lowered =
+      native::emitNativeKernel(*R.Program, L, "kern", native::ISA::Shim);
   ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
   const std::string &Src = Lowered.Code;
   EXPECT_NE(Src.find("long alpha, long ub)"), std::string::npos);

@@ -22,10 +22,8 @@
 ///     --dump-graph[=dot]             print data reorganization graphs
 ///                                    (text, or Graphviz DOT)
 ///     --dump-vir                     print the vector IR program
-///     --emit-c                       print AltiVec-style C++ for the loop
-///     --lower=altivec|native         emit a kernel for the given backend
-///                                    (altivec is --emit-c; native emits
-///                                    x86 intrinsics over simdize_x86.h)
+///     --lower=native                 emit the loop's kernel as x86
+///                                    intrinsics over simdize_x86.h
 ///     --native-isa=auto|shim|sse2|avx2|avx512
 ///                                    wrapper ISA for --lower=native
 ///                                    (auto picks the hardware ISA that
@@ -64,7 +62,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Explain.h"
-#include "lower/AltiVecEmitter.h"
 #include "native/NativeEmitter.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
@@ -94,7 +91,6 @@ struct ToolOptions {
   bool DumpGraph = false;
   bool DumpGraphDot = false;
   bool DumpVir = false;
-  bool EmitC = false;
   bool LowerNative = false; ///< --lower=native: emit the intrinsic kernel.
   /// Explicit --native-isa (nullopt = auto: the hardware ISA pinning
   /// --vlen, shim for widths with no hardware mapping).
@@ -113,7 +109,7 @@ int usage(const char *Argv0) {
                "usage: %s [--policy=zero|eager|lazy|dom|optimal|auto] "
                "[--vlen=N (power of two, 4..64)] [--sp] "
                "[--pc] [--reassoc] [--no-memnorm] [--dump-graph[=dot]] "
-               "[--dump-vir] [--emit-c] [--lower=altivec|native] "
+               "[--dump-vir] [--lower=native] "
                "[--native-isa=auto|shim|sse2|avx2|avx512] "
                "[--lower-out=FILE] [--tier=vm|native] [--run] "
                "[--trace=FILE] "
@@ -145,10 +141,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       Opts.DumpGraph = Opts.DumpGraphDot = true;
     else if (Arg == "--dump-vir")
       Opts.DumpVir = true;
-    else if (Arg == "--emit-c")
-      Opts.EmitC = true;
-    else if (Arg == "--lower=altivec")
-      Opts.EmitC = true;
     else if (Arg == "--lower=native")
       Opts.LowerNative = true;
     else if (Arg.rfind("--native-isa=", 0) == 0) {
@@ -194,7 +186,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       (!Opts.LowerNative ||
        !native::isaSupportsWidth(*Opts.NativeISA, Opts.Shared.VectorLen)))
     return false;
-  if (!Opts.LowerOut.empty() && !Opts.EmitC && !Opts.LowerNative)
+  if (!Opts.LowerOut.empty() && !Opts.LowerNative)
     return false;
   return true;
 }
@@ -215,19 +207,6 @@ bool writeFile(const std::string &Path, const std::string &Content) {
     return false;
   Out << Content;
   return Out.good();
-}
-
-/// Delivers an emitted kernel to --lower-out, or stdout without it.
-bool deliverKernel(const ToolOptions &Opts, const std::string &Code) {
-  if (Opts.LowerOut.empty()) {
-    std::printf("%s\n", Code.c_str());
-    return true;
-  }
-  if (!writeFile(Opts.LowerOut, Code + "\n")) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.LowerOut.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// --validate-json mode: exit 0 iff the file parses as one JSON document.
@@ -356,29 +335,22 @@ int runTool(const ToolOptions &Opts) {
   if (Opts.DumpVir)
     std::printf("%s\n", vir::printProgram(*R.Simd.Program).c_str());
 
-  if (Opts.EmitC) {
-    lower::LowerResult C =
-        lower::emitAltiVecKernel(*R.Simd.Program, Run, "kernel");
-    if (!C.ok()) {
-      std::fprintf(stderr, "error: %s\n", C.Error.c_str());
-      return 1;
-    }
-    if (!deliverKernel(Opts, C.Code))
-      return 1;
-  }
-
   if (Opts.LowerNative) {
     native::ISA Isa = Opts.NativeISA
                           ? *Opts.NativeISA
                           : native::canonicalISAForWidth(Opts.Shared.VectorLen);
-    lower::LowerResult C =
+    native::LowerResult C =
         native::emitNativeKernel(*R.Simd.Program, Run, "kernel", Isa);
     if (!C.ok()) {
       std::fprintf(stderr, "error: %s\n", C.Error.c_str());
       return 1;
     }
-    if (!deliverKernel(Opts, C.Code))
+    if (Opts.LowerOut.empty()) {
+      std::printf("%s\n", C.Code.c_str());
+    } else if (!writeFile(Opts.LowerOut, C.Code + "\n")) {
+      std::fprintf(stderr, "error: cannot write %s\n", Opts.LowerOut.c_str());
       return 1;
+    }
   }
 
   if (Opts.Run) {
