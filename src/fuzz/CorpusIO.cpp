@@ -6,9 +6,6 @@
 
 #include "fuzz/CorpusIO.h"
 
-#include "ir/IRPrinter.h"
-#include "support/Format.h"
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -16,90 +13,6 @@
 
 using namespace simdize;
 using namespace simdize::fuzz;
-
-static std::string printIndex(int64_t Offset) {
-  if (Offset == 0)
-    return "i";
-  if (Offset > 0)
-    return strf("i+%lld", static_cast<long long>(Offset));
-  return strf("i-%lld", static_cast<long long>(-Offset));
-}
-
-/// The parser's compound-assignment spelling of a reduction operator.
-static const char *reduceOpSpelling(ir::BinOpKind Op) {
-  switch (Op) {
-  case ir::BinOpKind::Add:
-    return "+=";
-  case ir::BinOpKind::Mul:
-    return "*=";
-  case ir::BinOpKind::And:
-    return "&=";
-  case ir::BinOpKind::Or:
-    return "|=";
-  case ir::BinOpKind::Xor:
-    return "^=";
-  case ir::BinOpKind::Min:
-    return "min=";
-  case ir::BinOpKind::Max:
-    return "max=";
-  default:
-    return "+=";
-  }
-}
-
-std::string fuzz::printParseable(const ir::Loop &L,
-                                 const std::string &Header) {
-  std::string Out;
-  if (!Header.empty()) {
-    std::istringstream In(Header);
-    std::string Line;
-    while (std::getline(In, Line))
-      Out += "# " + Line + "\n";
-  }
-
-  for (const auto &A : L.getArrays()) {
-    // The "byte" marker is required exactly when the base is not an
-    // element-size multiple (the Section 7 extension).
-    std::string Align = A->isNaturallyAligned() ? "" : "byte ";
-    if (A->isAlignmentKnown())
-      Align += strf("%u", A->getAlignment());
-    else
-      Align += strf("? %u", A->getAlignment());
-    Out += strf("array %s %s %lld align %s\n", A->getName().c_str(),
-                ir::elemTypeName(A->getElemType()),
-                static_cast<long long>(A->getNumElems()), Align.c_str());
-  }
-  for (const auto &P : L.getParams())
-    Out += strf("param %s %lld\n", P->getName().c_str(),
-                static_cast<long long>(P->getActualValue()));
-  Out += strf("loop %s%lld\n", L.isUpperBoundKnown() ? "" : "runtime ",
-              static_cast<long long>(L.getUpperBound()));
-  for (const auto &S : L.getStmts()) {
-    switch (S->getKind()) {
-    case ir::StmtKind::Assign:
-      Out += strf("%s[%s] = %s\n", S->getStoreArray()->getName().c_str(),
-                  printIndex(S->getStoreOffset()).c_str(),
-                  ir::printExpr(S->getRHS()).c_str());
-      break;
-    case ir::StmtKind::If:
-      Out += strf("if (%s %s %s) %s[%s] = %s\n",
-                  ir::printExpr(S->getGuardLHS()).c_str(),
-                  ir::cmpSpelling(S->getCmpKind()),
-                  ir::printExpr(S->getGuardRHS()).c_str(),
-                  S->getStoreArray()->getName().c_str(),
-                  printIndex(S->getStoreOffset()).c_str(),
-                  ir::printExpr(S->getRHS()).c_str());
-      break;
-    case ir::StmtKind::Reduce:
-      Out += strf("%s[%lld] %s %s\n", S->getStoreArray()->getName().c_str(),
-                  static_cast<long long>(S->getStoreOffset()),
-                  reduceOpSpelling(S->getReduceOp()),
-                  ir::printExpr(S->getRHS()).c_str());
-      break;
-    }
-  }
-  return Out;
-}
 
 std::optional<std::string> fuzz::writeCorpusFile(const std::string &Dir,
                                                  const std::string &FileName,

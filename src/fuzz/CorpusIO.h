@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Serializes loops into the LoopParser dialect so that fuzzing
-/// reproducers live in `tests/corpus/` as plain text: human-readable,
-/// diffable, and loadable by simdize-tool, simdize-fuzz --replay, and the
-/// corpus regression test. printParseable() is a strict inverse of
-/// parser::parseLoop — print, parse, print reaches a fixpoint after one
-/// round (verified by RoundTripTest).
+/// File I/O for the fuzzing corpus: reproducers live in `tests/corpus/` as
+/// plain text in the LoopParser dialect (rendered by ir::printParseable) —
+/// human-readable, diffable, and loadable by simdize-tool, simdize-fuzz
+/// --replay, and the corpus regression test.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDIZE_FUZZ_CORPUSIO_H
 #define SIMDIZE_FUZZ_CORPUSIO_H
-
-#include "ir/Loop.h"
 
 #include <optional>
 #include <string>
@@ -25,11 +21,6 @@
 
 namespace simdize {
 namespace fuzz {
-
-/// Renders \p L in the LoopParser dialect. \p Header lines (if any) are
-/// emitted first as '#' comments; newlines inside \p Header split it into
-/// multiple comment lines.
-std::string printParseable(const ir::Loop &L, const std::string &Header = "");
 
 /// Writes \p Text to \p Dir/\p FileName, creating \p Dir if needed.
 /// \returns the full path on success, std::nullopt on I/O failure.

@@ -8,8 +8,8 @@
 
 #include "fuzz/CorpusIO.h"
 #include "fuzz/Shrinker.h"
+#include "ir/IRPrinter.h"
 #include "ir/Loop.h"
-#include "native/NativeRun.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "support/Format.h"
@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -139,35 +140,20 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
   // oracle will consume it.
   sim::CheckOptions CO;
   CO.TrackChunkLoads = Oracles && C.exploitsReuse();
-  sim::CheckResult Check;
-  if (Oracle) {
-    // Bulk path: the scalar reference run is shared across configurations
-    // (and, on a width sweep, across vector lengths).
-    sim::CheckContext Ctx{C.name()};
-    Check = sim::checkSimdization(L, *P.Simd.Program, Oracle->get(VectorLen),
-                                  &Ctx, CO);
-  } else {
-    Check = pipeline::checkCompiled(L, P, CheckSeed, "", CO);
-  }
+  // Bulk callers share the scalar reference run across configurations and
+  // widths; the shrinker, with no shared oracle, builds its own image.
+  std::optional<sim::ReferenceImage> Own;
+  const sim::ReferenceImage &Ref =
+      Oracle ? Oracle->get(VectorLen) : Own.emplace(L, VectorLen, CheckSeed);
+  // The native axis rides on the result's tier: checkCompiled then runs
+  // the dlopen'd kernel against the image the VM was verified against.
+  if (NativeDiff)
+    P.Tier = pipeline::ExecTier::Native;
+  sim::CheckResult Check = pipeline::checkCompiled(L, P, Ref, "", CO);
   if (!Check.Ok)
     return Tagged(RunStatus::Failed, Check.Message,
                   Check.VerifierFailed ? oracle::FailureKind::Verifier
                                        : oracle::FailureKind::Mismatch);
-
-  // The native axis: the dlopen'd kernel must reproduce the expected image
-  // the VM was just verified against. The no-cache branch rebuilds the
-  // reference exactly as checkCompiled does, so the shrinker (which runs
-  // without a shared oracle) reproduces native-only failures faithfully.
-  if (NativeDiff) {
-    auto Diff = [&](const sim::ReferenceImage &Ref) {
-      return native::diffNativeAgainstOracle(L, *P.Simd.Program, Ref);
-    };
-    auto Err = Oracle ? Diff(Oracle->get(VectorLen))
-                      : Diff(sim::ReferenceImage(L, VectorLen, CheckSeed));
-    if (Err)
-      return Tagged(RunStatus::Failed, "[" + C.name() + "] " + *Err,
-                    oracle::FailureKind::Mismatch);
-  }
 
   if (Oracles) {
     if (C.exploitsReuse())
@@ -446,7 +432,7 @@ FuzzStats fuzz::runFuzz(const FuzzOptions &Opts) {
         // The same minimized loop failing the same way is one bug, no
         // matter how many seeds or configurations hit it: keep the first,
         // count the rest.
-        std::string Bare = printParseable(Minimized);
+        std::string Bare = ir::printParseable(Minimized);
         if (!SeenReproducers
                  .insert(strf("%s|", oracle::failureKindName(F.Kind)) + Bare)
                  .second) {
@@ -456,7 +442,7 @@ FuzzStats fuzz::runFuzz(const FuzzOptions &Opts) {
                          "duplicate of an earlier minimized reproducer\n");
           continue;
         }
-        F.MinimizedText = printParseable(
+        F.MinimizedText = ir::printParseable(
             Minimized,
             strf("fuzz seed %llu, config %s, kind %s\n%s",
                  static_cast<unsigned long long>(Seed),

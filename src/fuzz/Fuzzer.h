@@ -183,7 +183,7 @@ struct FuzzFailure {
   FuzzConfig Config;
   oracle::FailureKind Kind = oracle::FailureKind::None;
   std::string Message;       ///< Original diagnostic.
-  std::string MinimizedText; ///< printParseable() of the shrunken loop.
+  std::string MinimizedText; ///< ir::printParseable() of the shrunken loop.
   std::string CorpusFile;    ///< Path written under CorpusDir, if any.
 };
 

@@ -71,7 +71,7 @@ Measurement harness::runSchemeOnLoop(const ir::Loop &L,
 
   // Measurements are taken against the loop the program was compiled from
   // (the reassociated clone when the scheme asked for it).
-  const ir::Loop &Run = R.ReassocLoop ? *R.ReassocLoop : L;
+  const ir::Loop &Run = R.compiledLoop(L);
 
   M.Ok = true;
   M.Counts = Check.Stats.Counts;

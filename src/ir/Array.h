@@ -30,9 +30,9 @@ namespace ir {
 class Array {
 public:
   Array(std::string Name, ElemType Ty, int64_t NumElems, unsigned Alignment,
-        bool AlignmentKnown)
+        bool AlignmentKnown, unsigned Index)
       : Name(std::move(Name)), Ty(Ty), NumElems(NumElems),
-        Alignment(Alignment), AlignmentKnown(AlignmentKnown) {
+        Alignment(Alignment), AlignmentKnown(AlignmentKnown), Index(Index) {
     assert(NumElems >= 0 && "array size must be nonnegative");
     // Section 4.1 assumes naturally aligned bases, but the framework also
     // supports byte-misaligned ones (a Section 7 "future issue"): their
@@ -60,12 +60,18 @@ public:
   /// carry lane-multiple offsets.
   bool isNaturallyAligned() const { return Alignment % elemSize(Ty) == 0; }
 
+  /// Position in the owning loop's declaration order. Every parse of one
+  /// loop text numbers its arrays alike, so state keyed by index (the
+  /// simulator's memory layout) carries over between parses.
+  unsigned getIndex() const { return Index; }
+
 private:
   std::string Name;
   ElemType Ty;
   int64_t NumElems;
   unsigned Alignment;
   bool AlignmentKnown;
+  unsigned Index;
 };
 
 } // namespace ir

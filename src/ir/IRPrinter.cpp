@@ -10,6 +10,8 @@
 #include "support/Debug.h"
 #include "support/Format.h"
 
+#include <sstream>
+
 using namespace simdize;
 using namespace simdize::ir;
 
@@ -56,14 +58,16 @@ std::string ir::printExpr(const Expr &E) {
   simdize_unreachable("unknown expression kind");
 }
 
-std::string ir::printStmt(const Stmt &S) {
+/// One statement in the loop parser's dialect, without a terminator; the
+/// C-like print adds ';', the parseable print a newline.
+static std::string stmtText(const Stmt &S) {
   switch (S.getKind()) {
   case StmtKind::Assign:
-    return strf("%s[%s] = %s;", S.getStoreArray()->getName().c_str(),
+    return strf("%s[%s] = %s", S.getStoreArray()->getName().c_str(),
                 printIndex(S.getStoreOffset()).c_str(),
                 printExpr(S.getRHS()).c_str());
   case StmtKind::If:
-    return strf("if (%s %s %s) %s[%s] = %s;",
+    return strf("if (%s %s %s) %s[%s] = %s",
                 printExpr(S.getGuardLHS()).c_str(),
                 cmpSpelling(S.getCmpKind()), printExpr(S.getGuardRHS()).c_str(),
                 S.getStoreArray()->getName().c_str(),
@@ -71,12 +75,14 @@ std::string ir::printStmt(const Stmt &S) {
                 printExpr(S.getRHS()).c_str());
   case StmtKind::Reduce:
     // The accumulator index is absolute (no loop counter).
-    return strf("%s[%lld] %s= %s;", S.getStoreArray()->getName().c_str(),
+    return strf("%s[%lld] %s= %s", S.getStoreArray()->getName().c_str(),
                 static_cast<long long>(S.getStoreOffset()),
                 binOpSpelling(S.getReduceOp()), printExpr(S.getRHS()).c_str());
   }
   simdize_unreachable("unknown statement kind");
 }
+
+std::string ir::printStmt(const Stmt &S) { return stmtText(S) + ";"; }
 
 std::string ir::printLoop(const Loop &L) {
   std::string Out = "// ";
@@ -100,5 +106,33 @@ std::string ir::printLoop(const Loop &L) {
   for (const auto &S : L.getStmts())
     Out += "  " + printStmt(*S) + "\n";
   Out += "}\n";
+  return Out;
+}
+
+std::string ir::printParseable(const Loop &L, const std::string &Header) {
+  std::string Out;
+  std::istringstream In(Header);
+  for (std::string Line; std::getline(In, Line);)
+    Out += "# " + Line + "\n";
+
+  for (const auto &A : L.getArrays()) {
+    // The "byte" marker is required exactly when the base is not an
+    // element-size multiple (the Section 7 extension).
+    std::string Align = A->isNaturallyAligned() ? "" : "byte ";
+    if (A->isAlignmentKnown())
+      Align += strf("%u", A->getAlignment());
+    else
+      Align += strf("? %u", A->getAlignment());
+    Out += strf("array %s %s %lld align %s\n", A->getName().c_str(),
+                elemTypeName(A->getElemType()),
+                static_cast<long long>(A->getNumElems()), Align.c_str());
+  }
+  for (const auto &P : L.getParams())
+    Out += strf("param %s %lld\n", P->getName().c_str(),
+                static_cast<long long>(P->getActualValue()));
+  Out += strf("loop %s%lld\n", L.isUpperBoundKnown() ? "" : "runtime ",
+              static_cast<long long>(L.getUpperBound()));
+  for (const auto &S : L.getStmts())
+    Out += stmtText(*S) + "\n";
   return Out;
 }

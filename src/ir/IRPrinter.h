@@ -12,6 +12,8 @@
 ///   for (i = 0; i < 100; ++i)
 ///     a[i+3] = b[i+1] + c[i+2];
 ///
+/// and in the loop parser's dialect (printParseable).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDIZE_IR_IRPRINTER_H
@@ -33,7 +35,13 @@ std::string printExpr(const Expr &E);
 std::string printStmt(const Stmt &S);
 
 /// Renders the whole loop, including an array-declaration comment header.
+/// It elides runtime values, so it is for people, never an identity.
 std::string printLoop(const Loop &L);
+
+/// Renders \p L in the parser::parseLoop dialect, the parser's exact
+/// inverse, and so a loop's identity (server cache keys, corpus files).
+/// \p Header lines, if any, come first as '#' comments.
+std::string printParseable(const Loop &L, const std::string &Header = "");
 
 } // namespace ir
 } // namespace simdize

@@ -13,8 +13,9 @@ using namespace simdize::ir;
 
 Array *Loop::createArray(std::string Name, ElemType Ty, int64_t NumElems,
                          unsigned Alignment, bool AlignmentKnown) {
-  Arrays.push_back(std::make_unique<Array>(std::move(Name), Ty, NumElems,
-                                           Alignment, AlignmentKnown));
+  Arrays.push_back(std::make_unique<Array>(
+      std::move(Name), Ty, NumElems, Alignment, AlignmentKnown,
+      static_cast<unsigned>(Arrays.size())));
   return Arrays.back().get();
 }
 

@@ -34,7 +34,7 @@ public:
   Loop(Loop &&) = default;
   Loop &operator=(Loop &&) = default;
 
-  /// Creates and owns a new array.
+  /// Creates and owns a new array; its index is its declaration position.
   Array *createArray(std::string Name, ElemType Ty, int64_t NumElems,
                      unsigned Alignment, bool AlignmentKnown);
 

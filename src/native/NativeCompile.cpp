@@ -7,6 +7,7 @@
 #include "native/NativeCompile.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -70,14 +71,6 @@ std::string compileFlags(ISA Isa) {
   return Flags;
 }
 
-uint64_t fnv1a(uint64_t H, const std::string &S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
 std::string readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::ostringstream Out;
@@ -117,9 +110,8 @@ std::string native::nativeCacheDir() {
 
 uint64_t native::compileCacheKey(const std::string &Source, ISA Isa,
                                  const std::string &Header) {
-  return fnv1a(14695981039346656037ULL, compilerPath() + "\x1f" +
-                                            compileFlags(Isa) + "\x1f" +
-                                            Header + "\x1f" + Source);
+  return fnv1a(compilerPath() + "\x1f" + compileFlags(Isa) + "\x1f" +
+               Header + "\x1f" + Source);
 }
 
 namespace {

@@ -18,7 +18,7 @@ using namespace simdize::opt;
 OptStats opt::runOptPipeline(vir::VProgram &P, const OptConfig &Config) {
   OptStats Stats;
   obs::Span PipelineSp("opt-pipeline", "opt");
-  if (Config.CSE) {
+  {
     obs::Span Sp("opt-cse", "opt");
     Stats.CSERemoved = runCSE(P, Config.MemNorm);
     Sp.arg("removed", Stats.CSERemoved);
@@ -28,7 +28,7 @@ OptStats opt::runOptPipeline(vir::VProgram &P, const OptConfig &Config) {
     Stats.PCReplaced = runPredictiveCommoning(P, Config.MemNorm);
     Sp.arg("replaced", Stats.PCReplaced);
   }
-  if (Config.UnrollCopies) {
+  {
     obs::Span Sp("opt-unroll-copies", "opt");
     Stats.CopiesRemoved = runUnrollRemoveCopies(P);
     Sp.arg("removed", Stats.CopiesRemoved);

@@ -25,12 +25,11 @@ class VProgram;
 
 namespace opt {
 
-/// Which optimizations to run after code generation.
+/// Which optional optimizations to run after code generation. CSE, the
+/// copy-removing unroll, and DCE always run.
 struct OptConfig {
-  bool CSE = true;       ///< Within-iteration redundancy elimination.
-  bool MemNorm = true;   ///< Chunk-normalized load keys (Section 5.5).
-  bool PC = false;       ///< Predictive commoning.
-  bool UnrollCopies = true; ///< Remove back-edge copies by unrolling twice.
+  bool MemNorm = true; ///< Chunk-normalized load keys (Section 5.5).
+  bool PC = false;     ///< Predictive commoning.
 };
 
 /// Statistics of one pipeline run.

@@ -119,10 +119,8 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
 
   if (Req.Opt != OptLevel::Raw) {
     opt::OptConfig Config;
-    Config.CSE = true;
     Config.MemNorm = Req.MemNorm;
     Config.PC = Req.Opt == OptLevel::PC;
-    Config.UnrollCopies = true;
     Res.Opt = opt::runOptPipeline(*Res.Simd.Program, Config);
     Res.OptRan = true;
 
@@ -136,12 +134,11 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
 
 sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
                                          const CompileResult &R,
-                                         uint64_t CheckSeed,
+                                         const sim::ReferenceImage &Ref,
                                          const std::string &SchemeName,
                                          const sim::CheckOptions &Opts) {
-  const ir::Loop &Checked = R.ReassocLoop ? *R.ReassocLoop : L;
+  const ir::Loop &Checked = R.compiledLoop(L);
   sim::CheckContext Ctx{SchemeName.empty() ? R.ConfigName : SchemeName};
-  sim::ReferenceImage Ref(Checked, R.Simd.Program->getVectorLen(), CheckSeed);
   sim::CheckResult C =
       sim::checkSimdization(Checked, *R.Simd.Program, Ref, &Ctx, Opts);
   if (C.Ok && R.Tier == ExecTier::Native) {
@@ -155,4 +152,14 @@ sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
     }
   }
   return C;
+}
+
+sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
+                                         const CompileResult &R,
+                                         uint64_t CheckSeed,
+                                         const std::string &SchemeName,
+                                         const sim::CheckOptions &Opts) {
+  sim::ReferenceImage Ref(R.compiledLoop(L), R.Simd.Program->getVectorLen(),
+                          CheckSeed);
+  return checkCompiled(L, R, Ref, SchemeName, Opts);
 }

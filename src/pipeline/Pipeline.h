@@ -139,6 +139,12 @@ struct CompileResult {
   /// checkCompiled() selects it automatically.
   std::optional<ir::Loop> ReassocLoop;
 
+  /// The loop the program computes: ReassocLoop when the request
+  /// reassociated offsets, else \p Source, the loop given to runPipeline.
+  const ir::Loop &compiledLoop(const ir::Loop &Source) const {
+    return ReassocLoop ? *ReassocLoop : Source;
+  }
+
   /// Statements offset reassociation rewrote.
   unsigned Reassociated = 0;
 
@@ -187,12 +193,19 @@ struct CompileResult {
 CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req,
                           const PipelineHooks &Hooks = {});
 
-/// Bit-equality check of a compiled result against the scalar oracle
-/// (sim::checkSimdization over a patterned image seeded with
-/// \p CheckSeed). \p L must be the loop \p R was compiled from; when the
-/// request reassociated offsets the rewritten loop is used instead.
+/// Bit-equality check of a compiled result against the scalar oracle:
+/// sim::checkSimdization against \p Ref, then, for the native tier, the
+/// dlopen'd kernel against the same image. \p L must be the loop \p R was
+/// compiled from, and \p Ref an image of R.compiledLoop(L) at the
+/// program's width (callers that check many programs share one image).
 /// \p SchemeName overrides the diagnostic attribution (defaults to the
 /// request's config name); \p Opts forwards per-check switches.
+sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
+                               const sim::ReferenceImage &Ref,
+                               const std::string &SchemeName = "",
+                               const sim::CheckOptions &Opts = {});
+
+/// As above, over a fresh image patterned from \p CheckSeed.
 sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
                                uint64_t CheckSeed,
                                const std::string &SchemeName = "",

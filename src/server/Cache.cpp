@@ -6,40 +6,34 @@
 
 #include "server/Cache.h"
 
+#include "support/Hash.h"
+
 using namespace simdize;
 using namespace simdize::server;
 
-uint64_t CompileCache::hashBytes(uint64_t H, const std::string &S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
-uint64_t CompileCache::keyOf(const std::string &CanonicalLoopText,
-                             const pipeline::CompileRequest &Req) {
+std::string CompileCache::keyOf(const std::string &LoopText,
+                                const pipeline::CompileRequest &Req) {
   // CompileRequest::name() covers policy/sp/opt/width/tier (and AUTO);
   // MemNorm and OffsetReassoc are evaluation toggles it omits, appended
   // here so distinct configurations can never share a key.
-  std::string Tail = Req.name();
-  Tail += '\x1f';
-  Tail += Req.MemNorm ? 'm' : '-';
-  Tail += Req.OffsetReassoc ? 'r' : '-';
-  uint64_t H = hashBytes(14695981039346656037ULL, CanonicalLoopText);
-  H = hashBytes(H, "\x1f");
-  return hashBytes(H, Tail);
+  std::string Key = LoopText;
+  Key += '\x1f';
+  Key += Req.name();
+  Key += '\x1f';
+  Key += Req.MemNorm ? 'm' : '-';
+  Key += Req.OffsetReassoc ? 'r' : '-';
+  return Key;
 }
 
 uint64_t CompileCache::checksumOf(const Entry &E) {
-  uint64_t H = hashBytes(14695981039346656037ULL, E.ProgramText);
-  H = hashBytes(H, "\x1f");
-  H = hashBytes(H, E.Result.ConfigName);
-  H = hashBytes(H, "\x1f");
-  return hashBytes(H, E.Result.error());
+  uint64_t H = fnv1a(E.ProgramText);
+  H = fnv1a("\x1f", H);
+  H = fnv1a(E.Result.ConfigName, H);
+  H = fnv1a("\x1f", H);
+  return fnv1a(E.Result.error(), H);
 }
 
-CompileCache::Outcome CompileCache::find(uint64_t Key,
+CompileCache::Outcome CompileCache::find(const std::string &Key,
                                          std::shared_ptr<Entry> &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key);
@@ -59,7 +53,7 @@ CompileCache::Outcome CompileCache::find(uint64_t Key,
   return Outcome::Hit;
 }
 
-CompileCache::Outcome CompileCache::peek(uint64_t Key) {
+CompileCache::Outcome CompileCache::peek(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key);
   if (It == Map.end())
@@ -72,7 +66,7 @@ CompileCache::Outcome CompileCache::peek(uint64_t Key) {
 }
 
 std::shared_ptr<CompileCache::Entry>
-CompileCache::insert(uint64_t Key, std::shared_ptr<Entry> E) {
+CompileCache::insert(const std::string &Key, std::shared_ptr<Entry> E) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto [It, Inserted] = Map.try_emplace(Key);
   if (Inserted)
@@ -82,7 +76,8 @@ CompileCache::insert(uint64_t Key, std::shared_ptr<Entry> E) {
   return It->second.E;
 }
 
-bool CompileCache::findVerdict(uint64_t Key, uint64_t Seed, Verdict &Out) {
+bool CompileCache::findVerdict(const std::string &Key, uint64_t Seed,
+                               Verdict &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key);
   if (It != Map.end()) {
@@ -97,7 +92,7 @@ bool CompileCache::findVerdict(uint64_t Key, uint64_t Seed, Verdict &Out) {
   return false;
 }
 
-void CompileCache::recordVerdict(uint64_t Key, uint64_t Seed,
+void CompileCache::recordVerdict(const std::string &Key, uint64_t Seed,
                                  const Verdict &V) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key);
@@ -105,7 +100,8 @@ void CompileCache::recordVerdict(uint64_t Key, uint64_t Seed,
     It->second.Verdicts.emplace(Seed, V);
 }
 
-std::optional<uint64_t> CompileCache::findAlias(uint64_t TextKey) {
+std::optional<std::string>
+CompileCache::findAlias(const std::string &TextKey) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Aliases.find(TextKey);
   if (It == Aliases.end())
@@ -113,7 +109,8 @@ std::optional<uint64_t> CompileCache::findAlias(uint64_t TextKey) {
   return It->second;
 }
 
-void CompileCache::recordAlias(uint64_t TextKey, uint64_t Key) {
+void CompileCache::recordAlias(const std::string &TextKey,
+                               const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mu);
   // The memo is rebuilt on demand, so the bound is a crude wholesale
   // reset — correctness never depends on what survives here.
@@ -143,12 +140,7 @@ size_t CompileCache::size() const {
   return Map.size();
 }
 
-void CompileCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Map.clear();
-}
-
-void CompileCache::poisonForTest(uint64_t Key) {
+void CompileCache::poisonForTest(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key);
   if (It != Map.end())

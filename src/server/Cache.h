@@ -6,17 +6,17 @@
 ///
 /// \file
 /// The server's memory: compiled programs and oracle verdicts keyed by
-/// content, not by identity. The key is an FNV-1a hash (the same scheme
-/// native::NativeCompile uses for its .so cache) over
+/// content, not by identity. The key is the content itself, compared as
+/// bytes:
 ///
-///   canonical loop print \x1f CompileRequest::name() \x1f memnorm/reassoc
+///   loop text \x1f CompileRequest::name() \x1f memnorm/reassoc
 ///
-/// — the canonical ir::printLoop text, so whitespace and comment
-/// variations of one loop collapse to one entry, joined with every
-/// compilation-relevant request axis. CompileRequest::name() already
-/// encodes policy, software pipelining, opt level, width, and tier; the
-/// two evaluation toggles it omits (MemNorm, OffsetReassoc) are appended
-/// explicitly so no two distinct configurations can collide.
+/// — the ir::printParseable text keeps every runtime alignment, trip
+/// count and parameter value, while whitespace and comment variations of
+/// one loop collapse to one entry. CompileRequest::name() encodes policy,
+/// software pipelining, opt level, width, and tier; the two evaluation
+/// toggles it omits (MemNorm, OffsetReassoc) are appended explicitly so
+/// no two distinct configurations can collide.
 ///
 /// An entry owns the parsed loop, the full pipeline::CompileResult (the
 /// live VProgram — check requests re-run it without recompiling), the
@@ -43,6 +43,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 namespace simdize {
 namespace server {
@@ -81,12 +82,9 @@ public:
 
   explicit CompileCache(size_t MaxEntries = 1024) : Max(MaxEntries) {}
 
-  /// FNV-1a continuation over \p S (offset-basis seeded by the caller).
-  static uint64_t hashBytes(uint64_t H, const std::string &S);
-
-  /// The content key of (canonical loop text, request).
-  static uint64_t keyOf(const std::string &CanonicalLoopText,
-                        const pipeline::CompileRequest &Req);
+  /// The content key of (loop text, request): the key material itself.
+  static std::string keyOf(const std::string &LoopText,
+                           const pipeline::CompileRequest &Req);
 
   /// The integrity checksum an entry must carry.
   static uint64_t checksumOf(const Entry &E);
@@ -94,7 +92,7 @@ public:
   /// Looks up \p Key. Hit: \p Out is set and the entry's LRU tick
   /// refreshed. Poisoned: the entry failed its checksum; it is evicted
   /// (so the next identical request recompiles) and \p Out left empty.
-  Outcome find(uint64_t Key, std::shared_ptr<Entry> &Out);
+  Outcome find(const std::string &Key, std::shared_ptr<Entry> &Out);
 
   /// Validity probe for the rendered-response memo: like find(), but a
   /// Poisoned or Miss outcome mutates nothing and counts nothing — the
@@ -102,34 +100,34 @@ public:
   /// and surfaces the structured error exactly as it always did. Only a
   /// clean Hit counts (and refreshes the LRU tick), since it answers the
   /// request.
-  Outcome peek(uint64_t Key);
+  Outcome peek(const std::string &Key);
 
   /// Inserts \p E under \p Key, evicting the least-recently-used entry
   /// when over capacity. First writer wins: if a concurrent miss already
   /// inserted this key, the existing entry is returned instead, so every
   /// caller responds from one canonical entry.
-  std::shared_ptr<Entry> insert(uint64_t Key, std::shared_ptr<Entry> E);
+  std::shared_ptr<Entry> insert(const std::string &Key,
+                                std::shared_ptr<Entry> E);
 
   /// Per-seed verdict lookup/record for an entry still present under
   /// \p Key. Recording against an evicted key is a no-op.
-  bool findVerdict(uint64_t Key, uint64_t Seed, Verdict &Out);
-  void recordVerdict(uint64_t Key, uint64_t Seed, const Verdict &V);
+  bool findVerdict(const std::string &Key, uint64_t Seed, Verdict &Out);
+  void recordVerdict(const std::string &Key, uint64_t Seed, const Verdict &V);
 
   /// First-level memo from the key of a request's RAW loop text (keyOf
   /// over the unparsed spelling) to the canonical content key, letting a
   /// byte-identical resubmission skip the parse and canonical print that
   /// otherwise dominate a warm hit. Purely an accelerator: a memo miss,
   /// or an alias whose target has been evicted, only costs the slow path.
-  std::optional<uint64_t> findAlias(uint64_t TextKey);
-  void recordAlias(uint64_t TextKey, uint64_t Key);
+  std::optional<std::string> findAlias(const std::string &TextKey);
+  void recordAlias(const std::string &TextKey, const std::string &Key);
 
   Stats stats() const;
   size_t size() const;
-  void clear();
 
   /// Test hook: silently corrupts the cached program text of \p Key
   /// without updating the checksum, simulating a poisoned entry.
-  void poisonForTest(uint64_t Key);
+  void poisonForTest(const std::string &Key);
 
 private:
   struct Slot {
@@ -141,8 +139,8 @@ private:
   void evictOverflowLocked();
 
   mutable std::mutex Mu;
-  std::map<uint64_t, Slot> Map;
-  std::map<uint64_t, uint64_t> Aliases; ///< raw-text key -> canonical key.
+  std::unordered_map<std::string, Slot> Map;
+  std::unordered_map<std::string, std::string> Aliases; ///< Raw -> canonical.
   size_t Max;
   uint64_t Tick = 0;
   Stats St;

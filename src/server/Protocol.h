@@ -56,8 +56,9 @@ constexpr size_t MaxFrameBytes = 8u << 20;
 ///
 ///   1  initial versioned schema (implicit in all pre-versioned daemons);
 ///   2  kinded-statement release: decision logs gained per-statement
-///      guard/reduction records (docs/SERVER.md, "Schema versioning").
-constexpr uint64_t ProtocolSchemaVersion = 2;
+///      guard/reduction records (docs/SERVER.md, "Schema versioning");
+///   3  stats: ref_images lost its rebinds counter.
+constexpr uint64_t ProtocolSchemaVersion = 3;
 
 /// Stable machine-readable failure classification. Framing-level codes
 /// (BadFrame, OversizedFrame, TruncatedFrame) terminate the connection

@@ -8,13 +8,13 @@
 
 #include "codegen/Explain.h"
 #include "ir/IRPrinter.h"
-#include "native/NativeRun.h"
 #include "obs/Json.h"
 #include "obs/Prometheus.h"
 #include "parser/LoopParser.h"
 #include "policies/ShiftPolicy.h"
 #include "server/BuildInfo.h"
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "vir/VPrinter.h"
 
 #include <atomic>
@@ -65,7 +65,7 @@ std::string outcomeOf(const std::string &Response) {
 
 } // namespace
 
-bool Service::obtain(const Request &R, uint64_t &Key,
+bool Service::obtain(const Request &R, std::string &Key,
                      std::shared_ptr<CompileCache::Entry> &E, ErrorInfo &Err,
                      RequestTelemetry *Tel) {
   // Telemetry is write-only here: which layer answered, and what the
@@ -84,31 +84,41 @@ bool Service::obtain(const Request &R, uint64_t &Key,
         S.StmtSteadyShifts.begin(), S.StmtSteadyShifts.end(), 0u));
   };
 
-  // Fast path: a byte-identical resubmission resolves through the
-  // raw-text memo without parsing or printing anything. keyOf over the
-  // unparsed spelling is a valid memo key — distinct spellings get
-  // distinct memo slots that converge on one canonical entry.
-  uint64_t TextKey = CompileCache::keyOf(R.LoopText, R.Config);
-  if (std::optional<uint64_t> Memo = Cache.findAlias(TextKey)) {
-    switch (Cache.find(*Memo, E)) {
+  // Looks Key up: a hit answers, a poisoned entry becomes the structured
+  // error (naming the key by its FNV-1a), and a miss returns nullopt.
+  auto Lookup = [&](CacheLayer Layer,
+                    const char *Counter) -> std::optional<bool> {
+    switch (Cache.find(Key, E)) {
     case CompileCache::Outcome::Hit:
-      Key = *Memo;
       Reg.count("server.cache.hits");
-      NoteLayer(CacheLayer::Alias, "server.cache.alias_hits");
+      NoteLayer(Layer, Counter);
       NoteResult();
       return true;
     case CompileCache::Outcome::Poisoned:
-      Key = *Memo;
       Reg.count("server.cache.poisoned");
       FaultPending.store(true);
       Err.Code = ErrorCode::PoisonedCache;
       Err.Message = strf("cache entry %016llx failed its integrity checksum; "
                          "evicted — retry the request",
-                         static_cast<unsigned long long>(Key));
+                         static_cast<unsigned long long>(fnv1a(Key)));
       return false;
     case CompileCache::Outcome::Miss:
-      break; // Alias outlived its entry; fall through to the slow path.
+      break;
     }
+    return std::nullopt;
+  };
+
+  // Fast path: a byte-identical resubmission resolves through the
+  // raw-text memo without parsing or printing anything. keyOf over the
+  // unparsed spelling is a valid memo key — distinct spellings get
+  // distinct memo slots that converge on one canonical entry. An alias
+  // that outlived its entry falls through to the slow path.
+  std::string TextKey = CompileCache::keyOf(R.LoopText, R.Config);
+  if (std::optional<std::string> Memo = Cache.findAlias(TextKey)) {
+    Key = std::move(*Memo);
+    if (std::optional<bool> Done =
+            Lookup(CacheLayer::Alias, "server.cache.alias_hits"))
+      return *Done;
   }
 
   parser::ParseResult P =
@@ -119,28 +129,13 @@ bool Service::obtain(const Request &R, uint64_t &Key,
     return false;
   }
 
-  // Content addressing: the canonical print collapses whitespace/comment
-  // variants of one loop to one key.
-  Key = CompileCache::keyOf(ir::printLoop(*P.Loop), R.Config);
+  // Content addressing: the parser-dialect print keeps everything the
+  // loop means and collapses whitespace/comment variants to one key.
+  Key = CompileCache::keyOf(ir::printParseable(*P.Loop), R.Config);
   Cache.recordAlias(TextKey, Key);
-
-  switch (Cache.find(Key, E)) {
-  case CompileCache::Outcome::Hit:
-    Reg.count("server.cache.hits");
-    NoteLayer(CacheLayer::Live, "server.cache.live_hits");
-    NoteResult();
-    return true;
-  case CompileCache::Outcome::Poisoned:
-    Reg.count("server.cache.poisoned");
-    FaultPending.store(true);
-    Err.Code = ErrorCode::PoisonedCache;
-    Err.Message = strf("cache entry %016llx failed its integrity checksum; "
-                       "evicted — retry the request",
-                       static_cast<unsigned long long>(Key));
-    return false;
-  case CompileCache::Outcome::Miss:
-    break;
-  }
+  if (std::optional<bool> Done =
+          Lookup(CacheLayer::Live, "server.cache.live_hits"))
+    return *Done;
   Reg.count("server.cache.misses");
   NoteLayer(CacheLayer::Miss, "server.cache.miss_compiles");
 
@@ -164,9 +159,9 @@ bool Service::obtain(const Request &R, uint64_t &Key,
   return true;
 }
 
-std::string Service::doCompile(const Request &R, uint64_t *MemoKey,
+std::string Service::doCompile(const Request &R, std::string *MemoKey,
                                RequestTelemetry *Tel) {
-  uint64_t Key = 0;
+  std::string Key;
   std::shared_ptr<CompileCache::Entry> E;
   ErrorInfo Err;
   if (!obtain(R, Key, E, Err, Tel))
@@ -195,9 +190,9 @@ std::string Service::doCompile(const Request &R, uint64_t *MemoKey,
   return Out;
 }
 
-std::string Service::doCheck(const Request &R, uint64_t *MemoKey,
+std::string Service::doCheck(const Request &R, std::string *MemoKey,
                              RequestTelemetry *Tel) {
-  uint64_t Key = 0;
+  std::string Key;
   std::shared_ptr<CompileCache::Entry> E;
   ErrorInfo Err;
   if (!obtain(R, Key, E, Err, Tel))
@@ -215,26 +210,15 @@ std::string Service::doCheck(const Request &R, uint64_t *MemoKey,
   } else {
     Reg.count("server.verdict.misses");
     auto T0 = std::chrono::steady_clock::now();
-    // Mirrors pipeline::checkCompiled, but the scalar oracle comes from
-    // the shared content-addressed reference-image cache: when the
-    // request reassociated offsets the rewritten loop is the one the
-    // program computes, so both the image and its key follow it.
-    const ir::Loop &Checked =
-        E->Result.ReassocLoop ? *E->Result.ReassocLoop : *E->SourceLoop;
-    uint64_t LoopKey =
-        CompileCache::hashBytes(14695981039346656037ULL, ir::printLoop(Checked));
-    std::shared_ptr<const sim::ReferenceImage> Ref = RefImages.get(
-        LoopKey, Checked, E->Result.Simd.Program->getVectorLen(), R.Seed);
-    sim::CheckContext Ctx{E->Result.ConfigName};
+    // The scalar oracle comes from the shared reference-image cache, keyed
+    // by the exact text of the loop the program computes (the rewritten
+    // one when the request reassociated offsets).
+    const ir::Loop &Checked = E->Result.compiledLoop(*E->SourceLoop);
+    std::shared_ptr<const sim::ReferenceImage> Ref =
+        RefImages.get(ir::printParseable(Checked), Checked,
+                      E->Result.Simd.Program->getVectorLen(), R.Seed);
     sim::CheckResult C =
-        sim::checkSimdization(Checked, *E->Result.Simd.Program, *Ref, &Ctx);
-    if (C.Ok && E->Result.Tier == pipeline::ExecTier::Native) {
-      if (auto NErr = native::diffNativeAgainstOracle(
-              Checked, *E->Result.Simd.Program, *Ref)) {
-        C.Ok = false;
-        C.Message = "[" + Ctx.Scheme + "] " + *NErr;
-      }
-    }
+        pipeline::checkCompiled(*E->SourceLoop, E->Result, *Ref);
     V.Ok = C.Ok;
     V.Message = C.Message;
     Cache.recordVerdict(Key, R.Seed, V);
@@ -255,9 +239,9 @@ std::string Service::doCheck(const Request &R, uint64_t *MemoKey,
   return Out;
 }
 
-std::string Service::doExplain(const Request &R, uint64_t *MemoKey,
+std::string Service::doExplain(const Request &R, std::string *MemoKey,
                                RequestTelemetry *Tel) {
-  uint64_t Key = 0;
+  std::string Key;
   std::shared_ptr<CompileCache::Entry> E;
   ErrorInfo Err;
   if (!obtain(R, Key, E, Err, Tel))
@@ -267,8 +251,7 @@ std::string Service::doExplain(const Request &R, uint64_t *MemoKey,
 
   // Explanation is legitimate for rejected loops too — the log carries
   // the classified error — so no CompileError gate here.
-  const ir::Loop &Run =
-      E->Result.ReassocLoop ? *E->Result.ReassocLoop : *E->SourceLoop;
+  const ir::Loop &Run = E->Result.compiledLoop(*E->SourceLoop);
   codegen::SimdizeOptions Used = R.Config.Simd;
   Used.Policy = E->Result.ResolvedPolicy;
   obs::DecisionLog Log = codegen::explainSimdization(Run, Used, E->Result.Simd);
@@ -315,7 +298,6 @@ std::string Service::doStats(const Request &R) {
       .field("hits", RS.Hits)
       .field("misses", RS.Misses)
       .field("evictions", RS.Evictions)
-      .field("rebinds", RS.Rebinds)
       .endObject()
       .key("build")
       .beginObject()
@@ -399,7 +381,7 @@ std::string Service::doBatch(const Request &R) {
 }
 
 std::string Service::dispatch(const Request &R, bool AllowBatch,
-                              uint64_t *MemoKey, RequestTelemetry *Tel) {
+                              std::string *MemoKey, RequestTelemetry *Tel) {
   auto T0 = std::chrono::steady_clock::now();
   Reg.count("server.requests");
   Reg.count(std::string("server.requests.") + requestKindName(R.Kind));
@@ -440,7 +422,7 @@ std::string Service::dispatch(const Request &R, bool AllowBatch,
       Reg.count("server.errors.internal");
       FaultPending.store(true);
       if (MemoKey)
-        *MemoKey = 0; // Never memoize a response shaped by a fault.
+        MemoKey->clear(); // Never memoize a response shaped by a fault.
       Out = errorResponse(
           R.Id, {ErrorCode::Internal,
                  std::string("exception escaped the worker: ") + Ex.what()});
@@ -448,7 +430,7 @@ std::string Service::dispatch(const Request &R, bool AllowBatch,
       Reg.count("server.errors.internal");
       FaultPending.store(true);
       if (MemoKey)
-        *MemoKey = 0;
+        MemoKey->clear();
       Out = errorResponse(R.Id, {ErrorCode::Internal,
                                  "non-standard exception escaped the worker"});
     }
@@ -528,7 +510,6 @@ std::string Service::prometheusText() const {
   Event("ref_image", "hit", static_cast<double>(RS.Hits));
   Event("ref_image", "miss", static_cast<double>(RS.Misses));
   Event("ref_image", "evict", static_cast<double>(RS.Evictions));
-  Event("ref_image", "rebind", static_cast<double>(RS.Rebinds));
   W.type("cache_entries", "gauge");
   W.sample("cache_entries", static_cast<double>(Cache.size()),
            {{"cache", "compile"}});
@@ -553,8 +534,7 @@ std::string Service::prometheusText() const {
 
 std::string Service::handle(const std::string &Payload) {
   auto T0 = std::chrono::steady_clock::now();
-  uint64_t PayloadHash = CompileCache::hashBytes(14695981039346656037ULL,
-                                                 Payload);
+  uint64_t PayloadHash = fnv1a(Payload);
 
   // Per-request tracing: a tracer exists only when a sink wants it, and
   // installs as this thread's context so concurrent requests each grow
@@ -580,8 +560,8 @@ std::string Service::handle(const std::string &Payload) {
     bool Found = false;
     {
       std::lock_guard<std::mutex> Lock(MemoMu);
-      auto It = ResponseMemo.find(PayloadHash);
-      if (It != ResponseMemo.end() && It->second.Payload == Payload) {
+      auto It = ResponseMemo.find(Payload);
+      if (It != ResponseMemo.end()) {
         Hit = It->second;
         Found = true;
       }
@@ -611,19 +591,19 @@ std::string Service::handle(const std::string &Payload) {
     return Out;
   }
 
-  uint64_t MemoKey = 0;
+  std::string MemoKey;
   RequestTelemetry Tel;
   std::string Out = dispatch(*R, /*AllowBatch=*/true, &MemoKey, &Tel);
   // Check responses stay un-memoized: they are pure too, but routing
   // repeats through the verdict cache keeps that layer exercised and its
   // hit counters meaningful; the alias fast path already skips the parse.
-  if (MemoKey != 0 &&
+  if (!MemoKey.empty() &&
       (R->Kind == RequestKind::Compile || R->Kind == RequestKind::Explain)) {
     std::lock_guard<std::mutex> Lock(MemoMu);
     // Rebuilt on demand, so the bound is a crude wholesale reset.
     if (ResponseMemo.size() >= 4096 + 4 * Opts.MaxCacheEntries)
       ResponseMemo.clear();
-    ResponseMemo[PayloadHash] = {Payload, R->Kind, MemoKey, Out};
+    ResponseMemo[Payload] = {R->Kind, std::move(MemoKey), Out};
   }
   finishRequest(requestKindName(R->Kind), PayloadHash, TraceId, msSince(T0),
                 Out, Tel, TrPtr);

@@ -57,9 +57,9 @@
 #include <chrono>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 namespace simdize {
 namespace server {
@@ -149,20 +149,20 @@ private:
   /// through a live cache entry, \p MemoKey (if given) receives its
   /// content key — the validity anchor for the rendered-response memo.
   std::string dispatch(const Request &R, bool AllowBatch,
-                       uint64_t *MemoKey = nullptr,
+                       std::string *MemoKey = nullptr,
                        RequestTelemetry *Tel = nullptr);
 
   /// Parse + cache-or-compile; the shared front half of compile / check /
   /// explain. False fills \p Err.
-  bool obtain(const Request &R, uint64_t &Key,
+  bool obtain(const Request &R, std::string &Key,
               std::shared_ptr<CompileCache::Entry> &E, ErrorInfo &Err,
               RequestTelemetry *Tel);
 
-  std::string doCompile(const Request &R, uint64_t *MemoKey,
+  std::string doCompile(const Request &R, std::string *MemoKey,
                         RequestTelemetry *Tel);
-  std::string doCheck(const Request &R, uint64_t *MemoKey,
+  std::string doCheck(const Request &R, std::string *MemoKey,
                       RequestTelemetry *Tel);
-  std::string doExplain(const Request &R, uint64_t *MemoKey,
+  std::string doExplain(const Request &R, std::string *MemoKey,
                         RequestTelemetry *Tel);
   std::string doStats(const Request &R);
   std::string doBatch(const Request &R);
@@ -182,9 +182,8 @@ private:
   /// re-validated against the live compile-cache entry under its content
   /// key, so eviction and poisoning invalidate memoized bytes for free.
   struct MemoEntry {
-    std::string Payload; ///< Exact bytes — hash collisions cannot serve.
     RequestKind Kind = RequestKind::Stats;
-    uint64_t Key = 0; ///< Compile-cache key anchoring validity.
+    std::string Key; ///< Compile-cache key anchoring validity.
     std::string Response;
   };
 
@@ -203,7 +202,7 @@ private:
   std::deque<SlowEntry> SlowLog; ///< Bounded at SlowLogCap, newest last.
   static constexpr size_t SlowLogCap = 32;
   std::mutex MemoMu;
-  std::map<uint64_t, MemoEntry> ResponseMemo;
+  std::unordered_map<std::string, MemoEntry> ResponseMemo; ///< By payload.
 };
 
 } // namespace server

@@ -29,48 +29,20 @@ ReferenceImage::ReferenceImage(const ir::Loop &L, unsigned VectorLen,
   runScalarLoop(L, Layout, Expected);
 }
 
-ReferenceImage::ReferenceImage(const ir::Loop &L, const ReferenceImage &Src)
-    : Layout(L, Src.getVectorLen()), Initial(Src.Initial),
-      Expected(Src.Expected), Seed(Src.Seed) {
-  assert(Layout.getTotalSize() == Src.Layout.getTotalSize() &&
-         "rebinding an image across structurally different loops");
-}
-
 std::shared_ptr<const ReferenceImage>
-ReferenceImageCache::get(uint64_t LoopKey, const ir::Loop &L,
+ReferenceImageCache::get(const std::string &LoopKey, const ir::Loop &L,
                          unsigned VectorLen, uint64_t Seed) {
-  std::tuple<uint64_t, unsigned, uint64_t> Key{LoopKey, VectorLen, Seed};
-  std::shared_ptr<const ReferenceImage> Stale;
+  std::string Key = strf("%s\x1f%u\x1f%llu", LoopKey.c_str(), VectorLen,
+                         static_cast<unsigned long long>(Seed));
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Map.find(Key);
     if (It != Map.end()) {
       ++St.Hits;
       It->second.Tick = ++Tick;
-      // A content hit is only directly usable when its pointer-keyed
-      // layout was built from this exact loop instance; an image built by
-      // another parse of the same loop is rebound below (outside the
-      // lock), skipping the scalar run either way.
-      if (It->second.Img->getLayout().covers(L))
-        return It->second.Img;
-      ++St.Rebinds;
-      Stale = It->second.Img;
-    } else {
-      ++St.Misses;
+      return It->second.Img;
     }
-  }
-
-  if (Stale) {
-    auto Rebound = std::make_shared<const ReferenceImage>(L, *Stale);
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Map.find(Key);
-    if (It != Map.end()) {
-      // Adopt the rebound image so the live instance serves future hits;
-      // borrowers of the old shared_ptr are unaffected.
-      It->second.Img = Rebound;
-      It->second.Tick = ++Tick;
-    }
-    return Rebound;
+    ++St.Misses;
   }
 
   // Build outside the lock: image construction runs the scalar
@@ -78,16 +50,9 @@ ReferenceImageCache::get(uint64_t LoopKey, const ir::Loop &L,
   auto Img = std::make_shared<const ReferenceImage>(L, VectorLen, Seed);
 
   std::lock_guard<std::mutex> Lock(Mu);
-  auto [It, Inserted] = Map.try_emplace(Key);
-  if (Inserted) {
+  auto [It, Inserted] = Map.try_emplace(std::move(Key));
+  if (Inserted)
     It->second.Img = std::move(Img);
-  } else if (!It->second.Img->getLayout().covers(L)) {
-    // A racing miss on this content key won the insert from a different
-    // instance of the same loop; its pointer-keyed layout cannot serve
-    // this caller. Adopt the image we just built — same content, bound
-    // to this instance — so both callers leave with a covering layout.
-    It->second.Img = std::move(Img);
-  }
   It->second.Tick = ++Tick;
   if (Max != 0 && Map.size() > Max) {
     auto Oldest = Map.begin();
@@ -108,11 +73,6 @@ ReferenceImageCache::Stats ReferenceImageCache::stats() const {
 size_t ReferenceImageCache::size() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Map.size();
-}
-
-void ReferenceImageCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Map.clear();
 }
 
 /// Finds the statement storing to \p A; store arrays are unique per

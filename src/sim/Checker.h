@@ -25,12 +25,10 @@
 #include "sim/Machine.h"
 #include "sim/Memory.h"
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
-#include <vector>
+#include <unordered_map>
 
 namespace simdize {
 
@@ -83,14 +81,6 @@ class ReferenceImage {
 public:
   ReferenceImage(const ir::Loop &L, unsigned VectorLen, uint64_t Seed);
 
-  /// Rebinds \p Src to \p L, a different parse of the same canonical
-  /// loop: layout placement is deterministic in (canonical text, V), so
-  /// the patterned and expected images carry over byte-for-byte and only
-  /// the pointer-keyed layout is rebuilt — the expensive scalar reference
-  /// run is skipped. The content-addressed cache uses this when a request
-  /// hits an image another loop instance built.
-  ReferenceImage(const ir::Loop &L, const ReferenceImage &Src);
-
   const MemoryLayout &getLayout() const { return Layout; }
   const Memory &getInitial() const { return Initial; }
   const Memory &getExpected() const { return Expected; }
@@ -106,22 +96,20 @@ private:
 
 /// Thread-safe, content-addressed generalization of the per-(loop, seed)
 /// OracleCache: ReferenceImages shared across loops, seeds, and widths,
-/// keyed by (LoopKey, VectorLen, Seed), where LoopKey is any stable hash
-/// of the loop's canonical text (0 is fine when the caller owns a single
-/// loop). Entries are handed out as shared_ptr so LRU eviction never
-/// invalidates a borrower; MaxEntries of 0 means unbounded. The compile
-/// server keys this by its content hash so millions of check requests
-/// re-verify a small working set of loops without rebuilding the scalar
-/// oracle each time.
+/// keyed by (LoopKey, VectorLen, Seed), where LoopKey is the loop's exact
+/// text (ir::printParseable; empty is fine when the caller owns a single
+/// loop). Layouts are indexed by array declaration order, so an image
+/// built from one parse serves every parse of the same text. Entries are
+/// handed out as shared_ptr so LRU eviction never invalidates a
+/// borrower; MaxEntries of 0 means unbounded. The compile server shares
+/// one across requests so millions of check requests re-verify a small
+/// working set of loops without rebuilding the scalar oracle each time.
 class ReferenceImageCache {
 public:
   struct Stats {
     int64_t Hits = 0;
     int64_t Misses = 0;
     int64_t Evictions = 0;
-    /// Hits whose image was built by a different parse of the same loop
-    /// and had to be rebound (layout rebuilt, scalar run still skipped).
-    int64_t Rebinds = 0;
   };
 
   explicit ReferenceImageCache(size_t MaxEntries = 256) : Max(MaxEntries) {}
@@ -130,12 +118,12 @@ public:
   /// \p L outside the cache lock on a miss. Concurrent misses on one key
   /// may build twice; the first insert wins (images are deterministic, so
   /// the loser is byte-identical and simply dropped).
-  std::shared_ptr<const ReferenceImage>
-  get(uint64_t LoopKey, const ir::Loop &L, unsigned VectorLen, uint64_t Seed);
+  std::shared_ptr<const ReferenceImage> get(const std::string &LoopKey,
+                                            const ir::Loop &L,
+                                            unsigned VectorLen, uint64_t Seed);
 
   Stats stats() const;
   size_t size() const;
-  void clear();
 
 private:
   struct Slot {
@@ -144,7 +132,7 @@ private:
   };
 
   mutable std::mutex Mu;
-  std::map<std::tuple<uint64_t, unsigned, uint64_t>, Slot> Map;
+  std::unordered_map<std::string, Slot> Map; ///< LoopKey \x1f V \x1f Seed.
   size_t Max;
   uint64_t Tick = 0;
   Stats St;
@@ -160,7 +148,7 @@ public:
       : L(L), Seed(Seed), Cache(/*MaxEntries=*/0) {}
 
   const ReferenceImage &get(unsigned VectorLen) {
-    return *Cache.get(/*LoopKey=*/0, L, VectorLen, Seed);
+    return *Cache.get(/*LoopKey=*/"", L, VectorLen, Seed);
   }
 
 private:

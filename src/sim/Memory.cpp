@@ -34,23 +34,15 @@ MemoryLayout::MemoryLayout(const ir::Loop &L, unsigned VectorLen)
       Base += VectorLen;
     assert(nonNegMod(Base, VectorLen) == Align &&
            "layout failed to realize the declared alignment");
-    BaseAddr[A.get()] = Base;
+    BaseAddr.push_back(Base);
     Cursor = Base + A->getSizeInBytes() + 4 * static_cast<int64_t>(VectorLen);
   }
   TotalSize = alignTo(Cursor + 4 * static_cast<int64_t>(VectorLen), VectorLen);
 }
 
 int64_t MemoryLayout::baseOf(const ir::Array *A) const {
-  auto It = BaseAddr.find(A);
-  assert(It != BaseAddr.end() && "array not placed by this layout");
-  return It->second;
-}
-
-bool MemoryLayout::covers(const ir::Loop &L) const {
-  for (const auto &A : L.getArrays())
-    if (!BaseAddr.count(A.get()))
-      return false;
-  return true;
+  assert(A->getIndex() < BaseAddr.size() && "array not placed by this layout");
+  return BaseAddr[A->getIndex()];
 }
 
 int64_t Memory::readElem(int64_t Addr, unsigned ElemSize) const {

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace simdize {
@@ -31,21 +30,17 @@ class Loop;
 
 namespace sim {
 
-/// Assigns a base byte address to every array of a loop.
+/// Assigns a base byte address to every array of a loop. Bases are kept
+/// by array declaration index, so a layout built from one parse of a loop
+/// text serves every other parse of the same text.
 class MemoryLayout {
 public:
   /// Places the arrays of \p L for vector length \p VectorLen.
   MemoryLayout(const ir::Loop &L, unsigned VectorLen);
 
   /// Base byte address of \p A. The array must belong to the loop this
-  /// layout was built from.
+  /// layout was built from, or to another parse of that loop's text.
   int64_t baseOf(const ir::Array *A) const;
-
-  /// Whether every array of \p L was placed by this layout — i.e. the
-  /// layout was built from this exact loop instance, not merely from an
-  /// identically-printed one. Content-addressed caches use this to decide
-  /// when a shared image must be rebound before use.
-  bool covers(const ir::Loop &L) const;
 
   /// Total bytes of memory required, including guard gaps.
   int64_t getTotalSize() const { return TotalSize; }
@@ -53,7 +48,7 @@ public:
   unsigned getVectorLen() const { return VectorLen; }
 
 private:
-  std::unordered_map<const ir::Array *, int64_t> BaseAddr;
+  std::vector<int64_t> BaseAddr; ///< Indexed by ir::Array::getIndex().
   int64_t TotalSize = 0;
   unsigned VectorLen;
 };

@@ -15,6 +15,7 @@
 
 #include "fuzz/CorpusIO.h"
 #include "fuzz/Fuzzer.h"
+#include "ir/IRPrinter.h"
 #include "parser/LoopParser.h"
 
 #include <gtest/gtest.h>
@@ -43,10 +44,10 @@ TEST(Corpus, EveryFileParsesAndRoundTrips) {
     ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
     // Print -> parse -> print is a fixpoint, so re-minimized or
     // hand-edited files stay in canonical form.
-    std::string Printed = fuzz::printParseable(*Parsed.Loop);
+    std::string Printed = ir::printParseable(*Parsed.Loop);
     parser::ParseResult Reparsed = parser::parseLoop(Printed);
     ASSERT_TRUE(Reparsed.ok()) << Reparsed.Error;
-    EXPECT_EQ(fuzz::printParseable(*Reparsed.Loop), Printed);
+    EXPECT_EQ(ir::printParseable(*Reparsed.Loop), Printed);
   }
 }
 

@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fuzz/CorpusIO.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Shrinker.h"
 #include "ir/IRBuilder.h"
@@ -44,9 +43,9 @@ TEST(Fuzzer, SmokeSweepFindsNoFailures) {
 
 TEST(Fuzzer, ParamsForSeedIsDeterministicAndCoversEdges) {
   for (uint64_t Seed : {1ull, 77ull, 4096ull})
-    EXPECT_EQ(fuzz::printParseable(
+    EXPECT_EQ(ir::printParseable(
                   synth::synthesizeLoop(fuzz::paramsForSeed(Seed))),
-              fuzz::printParseable(
+              ir::printParseable(
                   synth::synthesizeLoop(fuzz::paramsForSeed(Seed))));
 
   bool SawDegenerate = false, SawRuntime = false, SawByte = false;
@@ -156,9 +155,9 @@ TEST(Shrinker, MinimizesInjectedPolicyBug) {
 
   // The ISSUE's acceptance bar: at most 2 statements and 2 loads.
   EXPECT_LE(Minimized.getStmts().size(), 2u)
-      << fuzz::printParseable(Minimized);
+      << ir::printParseable(Minimized);
   EXPECT_LE(fuzz::countLoads(Minimized), 2u)
-      << fuzz::printParseable(Minimized);
+      << ir::printParseable(Minimized);
   EXPECT_GT(Stats.StepsApplied, 0u);
 
   // Still failing with the same kind, and still failing after a text
@@ -168,7 +167,7 @@ TEST(Shrinker, MinimizesInjectedPolicyBug) {
   EXPECT_EQ(MinRun.Status, fuzz::RunStatus::Failed);
   EXPECT_EQ(MinRun.Kind, oracle::FailureKind::Mismatch) << MinRun.Message;
   parser::ParseResult Reparsed =
-      parser::parseLoop(fuzz::printParseable(Minimized));
+      parser::parseLoop(ir::printParseable(Minimized));
   ASSERT_TRUE(Reparsed.ok()) << Reparsed.Error;
   EXPECT_EQ(fuzz::runConfigOnLoop(*Reparsed.Loop, C, 99,
                                   offByOneShift(nullptr))
@@ -192,7 +191,7 @@ TEST(Shrinker, ShrinkingIsIdempotent) {
   ir::Loop Once = fuzz::shrinkLoop(L, Pred);
   fuzz::ShrinkStats Again;
   ir::Loop Twice = fuzz::shrinkLoop(Once, Pred, &Again);
-  EXPECT_EQ(fuzz::printParseable(Twice), fuzz::printParseable(Once));
+  EXPECT_EQ(ir::printParseable(Twice), ir::printParseable(Once));
   EXPECT_EQ(Again.StepsApplied, 0u);
 }
 
@@ -223,12 +222,12 @@ TEST(Shrinker, MixedKindShrinkingIsIdempotent) {
   EXPECT_GE(Count(Once, ir::StmtKind::Reduce), 1u);
   fuzz::ShrinkStats Again;
   ir::Loop Twice = fuzz::shrinkLoop(Once, Pred, &Again);
-  EXPECT_EQ(fuzz::printParseable(Twice), fuzz::printParseable(Once));
+  EXPECT_EQ(ir::printParseable(Twice), ir::printParseable(Once));
   EXPECT_EQ(Again.StepsApplied, 0u);
   // The minimized mixed-kind reproducer survives the corpus round trip.
-  parser::ParseResult R = parser::parseLoop(fuzz::printParseable(Once));
+  parser::ParseResult R = parser::parseLoop(ir::printParseable(Once));
   ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(fuzz::printParseable(*R.Loop), fuzz::printParseable(Once));
+  EXPECT_EQ(ir::printParseable(*R.Loop), ir::printParseable(Once));
 }
 
 TEST(Shrinker, ReachesGlobalMinimumOnLoopLevelPredicate) {
@@ -252,7 +251,7 @@ TEST(Shrinker, CloneLoopIsFaithful) {
   synth::SynthParams P = fuzz::paramsForSeed(17);
   ir::Loop L = synth::synthesizeLoop(P);
   ir::Loop Copy = ir::cloneLoop(L);
-  EXPECT_EQ(fuzz::printParseable(Copy), fuzz::printParseable(L));
+  EXPECT_EQ(ir::printParseable(Copy), ir::printParseable(L));
   EXPECT_EQ(ir::printLoop(Copy), ir::printLoop(L));
 }
 

@@ -15,10 +15,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Simdizer.h"
-#include "fuzz/CorpusIO.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Shrinker.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRPrinter.h"
 #include "ir/Loop.h"
 #include "oracle/Oracle.h"
 #include "parser/LoopParser.h"
@@ -326,7 +326,7 @@ TEST(Oracle, FuzzSweepTagsAndDedupesInjectedShiftBug) {
         << F.MinimizedText;
     EXPECT_NE(F.CorpusFile.find("-shift-count.loop"), std::string::npos)
         << F.CorpusFile;
-    EXPECT_TRUE(Texts.insert(fuzz::printParseable(
+    EXPECT_TRUE(Texts.insert(ir::printParseable(
                                  *parser::parseLoop(F.MinimizedText).Loop))
                     .second)
         << "duplicate minimized reproducer recorded:\n"

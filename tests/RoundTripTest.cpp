@@ -14,8 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fuzz/CorpusIO.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRPrinter.h"
 #include "parser/LoopParser.h"
 #include "support/RNG.h"
 #include "synth/LoopSynth.h"
@@ -30,12 +30,12 @@ namespace {
 void expectFixpoint(const std::string &Text) {
   parser::ParseResult Parsed = parser::parseLoop(Text);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error << "\nwhile parsing:\n" << Text;
-  EXPECT_EQ(fuzz::printParseable(*Parsed.Loop), Text);
+  EXPECT_EQ(ir::printParseable(*Parsed.Loop), Text);
 }
 
 /// Checks structural equality of the parsed loop against the original.
 void expectSameLoop(const ir::Loop &L) {
-  std::string Text = fuzz::printParseable(L);
+  std::string Text = ir::printParseable(L);
   parser::ParseResult Parsed = parser::parseLoop(Text);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error << "\nwhile parsing:\n" << Text;
   const ir::Loop &R = *Parsed.Loop;
@@ -117,7 +117,7 @@ TEST(RoundTrip, ByteMisalignedAndRuntimeAlignment) {
   ir::Array *Y = L.createArray("y", ir::ElemType::Int32, 64, 8, false);
   L.addStmt(Out, 0, ir::add(ir::ref(X, 1), ir::ref(Y, 3)));
   L.setUpperBound(50, true);
-  std::string Text = fuzz::printParseable(L);
+  std::string Text = ir::printParseable(L);
   EXPECT_NE(Text.find("align byte 5"), std::string::npos);
   EXPECT_NE(Text.find("align byte ? 9"), std::string::npos);
   EXPECT_NE(Text.find("align ? 8"), std::string::npos);
@@ -130,12 +130,12 @@ TEST(RoundTrip, HeaderCommentsAreSkippedByParser) {
   L.addStmt(Out, 0, ir::splat(3));
   L.setUpperBound(20, true);
   std::string Text =
-      fuzz::printParseable(L, "fuzz seed 42, config LAZY/opt\nline two");
+      ir::printParseable(L, "fuzz seed 42, config LAZY/opt\nline two");
   EXPECT_EQ(Text.find("# fuzz seed 42, config LAZY/opt\n"), 0u);
   parser::ParseResult Parsed = parser::parseLoop(Text);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
-  EXPECT_EQ(fuzz::printParseable(*Parsed.Loop),
-            fuzz::printParseable(L)); // headers drop out, body survives
+  EXPECT_EQ(ir::printParseable(*Parsed.Loop),
+            ir::printParseable(L)); // headers drop out, body survives
 }
 
 TEST(RoundTrip, MixedKindStatements) {
@@ -152,7 +152,7 @@ TEST(RoundTrip, MixedKindStatements) {
   L.addReduceStmt(Acc, 1, ir::BinOpKind::Max, ir::ref(X, 2));
   L.setUpperBound(48, true);
 
-  std::string Text = fuzz::printParseable(L);
+  std::string Text = ir::printParseable(L);
   EXPECT_NE(Text.find("if (x[i+3] <= -7) g[i+2] = x[i] + 1\n"),
             std::string::npos)
       << Text;

@@ -9,9 +9,10 @@
 /// byte-identical whether they hit or miss (responses carry no cache
 /// state), content keys are pairwise distinct across every configuration
 /// axis (policy, software pipelining, width, opt level, memnorm, reassoc,
-/// tier) while whitespace and comment variants of one loop collapse to
-/// one key, and the entry bound evicts LRU-first without ever changing
-/// what a request answers.
+/// tier) and across loops that differ only in a runtime trip count, a
+/// parameter value or a runtime alignment, while whitespace and comment
+/// variants of one loop collapse to one key, and the entry bound evicts
+/// LRU-first without ever changing what a request answers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,16 +53,79 @@ std::string compileReq(uint64_t Id, const std::string &Loop,
   return Out;
 }
 
-std::string checkReq(uint64_t Id, const std::string &Loop, uint64_t Seed) {
+std::string checkReq(uint64_t Id, const std::string &Loop, uint64_t Seed,
+                     const std::string &Config = "") {
   std::string Out;
   obs::json::Writer W(Out);
   W.beginObject()
       .field("id", Id)
       .field("kind", "check")
       .field("loop", Loop)
-      .field("seed", Seed)
+      .field("seed", Seed);
+  if (!Config.empty())
+    W.key("config").raw(Config);
+  W.endObject();
+  return Out;
+}
+
+std::string explainReq(uint64_t Id, const std::string &Loop,
+                       const std::string &Config) {
+  std::string Out;
+  obs::json::Writer W(Out);
+  W.beginObject()
+      .field("id", Id)
+      .field("kind", "explain")
+      .field("loop", Loop)
+      .key("config")
+      .raw(Config)
       .endObject();
   return Out;
+}
+
+/// Two loops that differ only in a value the paper's Section 4.4 leaves to
+/// run time: both must get keys, programs and reference images of their
+/// own.
+struct LoopPair {
+  const char *Name;
+  std::string A, B;
+};
+
+std::vector<LoopPair> runtimePairs() {
+  return {
+      {"trip-count",
+       "array a i32 1024 align 0\narray b i32 1024 align 4\n"
+       "loop runtime 100\na[i] = b[i+1]\n",
+       "array a i32 1024 align 0\narray b i32 1024 align 4\n"
+       "loop runtime 600\na[i] = b[i+1]\n"},
+      {"parameter",
+       "array a i32 512 align 0\narray b i32 512 align 4\nparam alpha 3\n"
+       "loop 100\na[i] = alpha * b[i+1]\n",
+       "array a i32 512 align 0\narray b i32 512 align 4\nparam alpha 5\n"
+       "loop 100\na[i] = alpha * b[i+1]\n"},
+      {"alignment",
+       "array a i32 512 align ? 0\narray b i32 512 align ? 0\n"
+       "loop 100\na[i] = b[i+1]\n",
+       "array a i32 512 align ? 0\narray b i32 512 align ? 4\n"
+       "loop 100\na[i] = b[i+1]\n"},
+  };
+}
+
+/// Checks A, then B under another config, and requires B's verdict to be
+/// the clean one a fresh service gives. Each config gets a compile entry of
+/// its own, so B can only go wrong through a reference image keyed like
+/// A's.
+void expectBVerifiesAfterA(const LoopPair &Pair) {
+  const std::string ZeroCfg = R"({"policy":"zero"})";
+  const std::string ZeroSpCfg = R"({"policy":"zero","sp":true})";
+  Service Fresh;
+  std::string Expected = Fresh.handle(checkReq(2, Pair.B, 1, ZeroSpCfg));
+  ASSERT_NE(Expected.find(R"("verdict":{"ok":true,)"), std::string::npos)
+      << Expected;
+
+  Service S;
+  S.handle(checkReq(1, Pair.A, 1, ZeroCfg));
+  EXPECT_EQ(S.handle(checkReq(2, Pair.B, 1, ZeroSpCfg)), Expected)
+      << Pair.Name << " pair checked against the other loop's image";
 }
 
 TEST(ServerCache, RepeatCompileIsByteIdenticalAndHits) {
@@ -107,7 +171,7 @@ TEST(ServerCache, DeterministicRejectionsAreCachedToo) {
 TEST(ServerCache, KeysAreDistinctAcrossEveryConfigAxis) {
   parser::ParseResult P = parser::parseLoop(CacheLoop, 16);
   ASSERT_TRUE(P.ok()) << P.Error;
-  std::string Text = ir::printLoop(*P.Loop);
+  std::string Text = ir::printParseable(*P.Loop);
 
   std::vector<pipeline::CompileRequest> Configs;
   for (policies::PolicyKind Policy :
@@ -140,7 +204,7 @@ TEST(ServerCache, KeysAreDistinctAcrossEveryConfigAxis) {
         Configs.push_back(R);
       }
 
-  std::set<uint64_t> Keys;
+  std::set<std::string> Keys;
   for (const pipeline::CompileRequest &R : Configs)
     Keys.insert(CompileCache::keyOf(Text, R));
   EXPECT_EQ(Keys.size(), Configs.size()) << "config-key collision";
@@ -151,7 +215,7 @@ TEST(ServerCache, KeysAreDistinctAcrossEveryConfigAxis) {
       "loop 100\na[i] = b[i+1] + 1\n",
       16);
   ASSERT_TRUE(Q.ok()) << Q.Error;
-  EXPECT_EQ(Keys.count(CompileCache::keyOf(ir::printLoop(*Q.Loop),
+  EXPECT_EQ(Keys.count(CompileCache::keyOf(ir::printParseable(*Q.Loop),
                                            pipeline::CompileRequest())),
             0u);
 }
@@ -159,7 +223,7 @@ TEST(ServerCache, KeysAreDistinctAcrossEveryConfigAxis) {
 TEST(ServerCache, KeysAreDistinctAcrossStatementKinds) {
   // The same arrays and the same RHS as an assignment, a guarded
   // assignment, and a reduction must produce three distinct cache keys:
-  // the canonical ir::printLoop text carries the statement kind.
+  // the ir::printParseable text carries the statement kind.
   ir::Loop Assign, If, Reduce;
   for (ir::Loop *L : {&Assign, &If, &Reduce}) {
     ir::Array *S = L->createArray("s", ir::ElemType::Int32, 128, 0, true);
@@ -179,10 +243,10 @@ TEST(ServerCache, KeysAreDistinctAcrossStatementKinds) {
     L->setUpperBound(100, true);
   }
   pipeline::CompileRequest R;
-  std::set<uint64_t> Keys;
-  Keys.insert(CompileCache::keyOf(ir::printLoop(Assign), R));
-  Keys.insert(CompileCache::keyOf(ir::printLoop(If), R));
-  Keys.insert(CompileCache::keyOf(ir::printLoop(Reduce), R));
+  std::set<std::string> Keys;
+  Keys.insert(CompileCache::keyOf(ir::printParseable(Assign), R));
+  Keys.insert(CompileCache::keyOf(ir::printParseable(If), R));
+  Keys.insert(CompileCache::keyOf(ir::printParseable(Reduce), R));
   EXPECT_EQ(Keys.size(), 3u) << "statement kinds collide in the cache key";
 
   // Guard predicate and reduction operator are part of the key too.
@@ -197,9 +261,43 @@ TEST(ServerCache, KeysAreDistinctAcrossStatementKinds) {
       L->addReduceStmt(S, 1, ir::BinOpKind::Max, ir::ref(B, 2));
     L->setUpperBound(100, true);
   }
-  Keys.insert(CompileCache::keyOf(ir::printLoop(If2), R));
-  Keys.insert(CompileCache::keyOf(ir::printLoop(Reduce2), R));
+  Keys.insert(CompileCache::keyOf(ir::printParseable(If2), R));
+  Keys.insert(CompileCache::keyOf(ir::printParseable(Reduce2), R));
   EXPECT_EQ(Keys.size(), 5u) << "guard cmp / reduce op collide";
+
+  // So do the values Section 4.4 leaves to run time.
+  for (const LoopPair &Pair : runtimePairs()) {
+    parser::ParseResult A = parser::parseLoop(Pair.A);
+    parser::ParseResult B = parser::parseLoop(Pair.B);
+    ASSERT_TRUE(A.ok() && B.ok()) << A.Error << B.Error;
+    EXPECT_NE(CompileCache::keyOf(ir::printParseable(*A.Loop), R),
+              CompileCache::keyOf(ir::printParseable(*B.Loop), R))
+        << Pair.Name << " pair shares a key";
+  }
+}
+
+TEST(ServerCache, RuntimeTripCountsGetTheirOwnReferenceImage) {
+  expectBVerifiesAfterA(runtimePairs()[0]);
+}
+
+TEST(ServerCache, ParameterValuesGetTheirOwnReferenceImage) {
+  expectBVerifiesAfterA(runtimePairs()[1]);
+}
+
+TEST(ServerCache, RuntimeAlignmentsGetTheirOwnReferenceImage) {
+  expectBVerifiesAfterA(runtimePairs()[2]);
+}
+
+TEST(ServerCache, ExplainAnswersForItsOwnLoop) {
+  const std::string Config = R"({"policy":"zero"})";
+  for (const LoopPair &Pair : runtimePairs()) {
+    Service Fresh;
+    std::string Expected = Fresh.handle(explainReq(2, Pair.B, Config));
+    Service S;
+    S.handle(explainReq(1, Pair.A, Config));
+    EXPECT_EQ(S.handle(explainReq(2, Pair.B, Config)), Expected)
+        << Pair.Name << " pair answered from the other loop's entry";
+  }
 }
 
 TEST(ServerCache, LoopSpellingVariantsShareOneEntry) {

@@ -182,7 +182,7 @@ TEST(ServerFault, PoisonedCacheEntryIsEvictedAndRecompiled) {
   ASSERT_EQ(S.cache().size(), 1u);
 
   // Corrupt the only entry's bytes behind the checksum's back.
-  uint64_t Key = 0;
+  std::string Key;
   {
     // Recover the key the service computed: same loop, default config.
     std::optional<obs::json::Value> V = obs::json::parse(Original);
@@ -190,7 +190,7 @@ TEST(ServerFault, PoisonedCacheEntryIsEvictedAndRecompiled) {
     // poisonForTest takes the key; recompute it the way the service does.
     parser::ParseResult P = parser::parseLoop(FaultLoop, 16);
     ASSERT_TRUE(P.ok());
-    Key = CompileCache::keyOf(ir::printLoop(*P.Loop),
+    Key = CompileCache::keyOf(ir::printParseable(*P.Loop),
                               pipeline::CompileRequest());
   }
   S.cache().poisonForTest(Key);

@@ -96,7 +96,7 @@ TEST(ServerProtocol, GoldenMalformedFrameRecord) {
   EXPECT_TRUE(FR.failed());
   EXPECT_EQ(FR.error().Code, ErrorCode::BadFrame);
   EXPECT_EQ(errorResponse(0, FR.error()),
-            "{\"id\":0,\"kind\":\"error\",\"schema_version\":2,"
+            "{\"id\":0,\"kind\":\"error\",\"schema_version\":3,"
             "\"ok\":false,\"error\":"
             "{\"code\":\"bad_frame\",\"message\":"
             "\"length prefix contains non-digit byte 0x78\"}}");
@@ -113,7 +113,7 @@ TEST(ServerProtocol, GoldenOversizedLengthRecord) {
     EXPECT_FALSE(FR.feed(Huge.data(), Huge.size(), Out));
     EXPECT_EQ(FR.error().Code, ErrorCode::OversizedFrame);
     EXPECT_NE(errorResponse(3, FR.error())
-                  .find("\"id\":3,\"kind\":\"error\",\"schema_version\":2,"
+                  .find("\"id\":3,\"kind\":\"error\",\"schema_version\":3,"
                         "\"ok\":false,\"error\":"
                         "{\"code\":\"oversized_frame\""),
               std::string::npos);
@@ -134,7 +134,7 @@ TEST(ServerProtocol, GoldenTruncatedPayloadRecord) {
   EXPECT_FALSE(FR.finish());
   EXPECT_EQ(FR.error().Code, ErrorCode::TruncatedFrame);
   EXPECT_EQ(errorResponse(0, FR.error()),
-            "{\"id\":0,\"kind\":\"error\",\"schema_version\":2,"
+            "{\"id\":0,\"kind\":\"error\",\"schema_version\":3,"
             "\"ok\":false,\"error\":"
             "{\"code\":\"truncated_frame\",\"message\":"
             "\"stream ended 5 bytes into a 10-byte payload\"}}");

@@ -5,7 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "ir/IRPrinter.h"
 #include "ir/Loop.h"
+#include "parser/LoopParser.h"
+#include "pipeline/Pipeline.h"
+#include "sim/Checker.h"
 #include "sim/Decoder.h"
 #include "sim/Machine.h"
 #include "sim/Memory.h"
@@ -61,6 +65,36 @@ TEST(MemoryLayout, RealizesDeclaredAlignments) {
   EXPECT_EQ(Layout.baseOf(A) % 16, 12);
   EXPECT_EQ(Layout.baseOf(B) % 16, 0);
   EXPECT_EQ(Layout.baseOf(C) % 16, 6);
+}
+
+TEST(ReferenceImageCache, OneImageServesEveryParseOfOneText) {
+  // Layouts are indexed by array declaration order, so an image built from
+  // one parse serves a program compiled from another parse of the text.
+  const char *Text = "array c i16 256 align ? 6\n"
+                     "array a i16 256 align 2\n"
+                     "array b i16 256 align ? 14\n"
+                     "param k 7\n"
+                     "loop runtime 150\n"
+                     "a[i+1] = k * b[i+3] + c[i]\n";
+  parser::ParseResult First = parser::parseLoop(Text);
+  parser::ParseResult Second = parser::parseLoop(Text);
+  ASSERT_TRUE(First.ok() && Second.ok()) << First.Error;
+
+  ReferenceImageCache Cache;
+  std::string Key = ir::printParseable(*First.Loop);
+  auto Img = Cache.get(Key, *First.Loop, 16, 3);
+  EXPECT_EQ(Cache.get(ir::printParseable(*Second.Loop), *Second.Loop, 16, 3),
+            Img);
+  EXPECT_EQ(Cache.stats().Misses, 1);
+  EXPECT_EQ(Cache.stats().Hits, 1);
+
+  pipeline::CompileRequest Req;
+  Req.Simd.Policy = policies::PolicyKind::Zero;
+  Req.Simd.SoftwarePipelining = true;
+  pipeline::CompileResult R = pipeline::runPipeline(*Second.Loop, Req);
+  ASSERT_TRUE(R.ok()) << R.error();
+  CheckResult C = pipeline::checkCompiled(*Second.Loop, R, *Img);
+  EXPECT_TRUE(C.Ok) << C.Message;
 }
 
 TEST(MemoryLayout, GuardGapsAtLeastFourVectors) {

@@ -64,6 +64,17 @@ grep -q '"build"' e2e_stats.out || fail "stats lacks build block"
 grep -q '"uptime_seconds"' e2e_stats.out || fail "stats lacks uptime"
 grep -q '"flight"' e2e_stats.out || fail "stats lacks flight block"
 
+# Two loops that differ only in one array's runtime alignment, checked
+# under different configs: each must verify against a reference image of
+# its own, and the daemon must stay up to answer the second.
+CHK_A='{"id":5,"kind":"check","loop":"array a i32 512 align ? 0\narray b i32 512 align ? 0\nloop 100\na[i] = b[i+1]\n","seed":1,"config":{"policy":"zero"}}'
+CHK_B='{"id":6,"kind":"check","loop":"array a i32 512 align ? 0\narray b i32 512 align ? 4\nloop 100\na[i] = b[i+1]\n","seed":1,"config":{"policy":"zero","sp":true}}'
+printf '%s\n%s\n' "$CHK_A" "$CHK_B" | "$SIMDIZED" --connect="$SOCK" \
+  > e2e_check.out || fail "runtime-alignment check requests failed"
+[ "$(grep -o '"verdict":{"ok":true' e2e_check.out | wc -l)" -eq 2 ] ||
+  fail "runtime-alignment checks did not both verify"
+kill -0 "$PID" 2>/dev/null || fail "daemon died on colliding checks"
+
 kill -TERM "$PID"
 wait "$PID" || fail "daemon exited non-zero"
 PID=
