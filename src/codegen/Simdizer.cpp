@@ -141,7 +141,6 @@ SimdizeResult codegen::simdize(const ir::Loop &L, const SimdizeOptions &Opts) {
         return Result;
       }
     }
-    Result.GraphDumps.push_back(reorg::printGraph(G));
     unsigned Placed = reorg::countShifts(G);
     Result.ShiftCount += Placed;
     Result.StmtPlacedShifts.push_back(Placed);

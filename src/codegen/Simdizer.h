@@ -76,14 +76,11 @@ enum class SimdizeErrorKind {
 };
 
 /// Result of simdize(): the program on success, a diagnostic otherwise,
-/// plus per-statement graph dumps for inspection.
+/// plus per-statement shift accounting.
 struct SimdizeResult {
   std::optional<vir::VProgram> Program;
   std::string Error;
   SimdizeErrorKind ErrorKind = SimdizeErrorKind::None;
-
-  /// Post-placement data reorganization graph of each statement.
-  std::vector<std::string> GraphDumps;
 
   /// Total vshiftstream nodes placed across all statements — the quantity
   /// the policies compete on.

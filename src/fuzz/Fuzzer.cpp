@@ -136,8 +136,8 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
                   oracle::FailureKind::Verifier);
 
   unsigned VectorLen = P.Simd.Program->getVectorLen();
-  // Chunk-load provenance is collected only when the never-load-twice
-  // oracle will consume it.
+  // Chunk counts are collected only when the never-load-twice oracle will
+  // consume them.
   sim::CheckOptions CO;
   CO.TrackChunkLoads = Oracles && C.exploitsReuse();
   // Bulk callers share the scalar reference run across configurations and

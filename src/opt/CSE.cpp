@@ -9,6 +9,7 @@
 #include "opt/SymbolicKey.h"
 
 #include <map>
+#include <unordered_map>
 
 using namespace simdize;
 using namespace simdize::opt;
@@ -18,7 +19,7 @@ unsigned opt::runCSE(VProgram &P, bool MemNorm) {
   BodyKeys Keys(P, MemNorm);
   Block &Body = P.getBody();
 
-  std::map<std::string, VRegId> Leader;
+  std::unordered_map<uint32_t, VRegId> Leader;
   std::map<unsigned, VRegId> Rename;
   Block NewBody;
   NewBody.reserve(Body.size());
@@ -56,15 +57,14 @@ unsigned opt::runCSE(VProgram &P, bool MemNorm) {
     // Copies are the loop-carry mechanism, never redundant computation;
     // the unroll pass is responsible for removing them.
     if (Copy.isPure() && Copy.definesVector() && Copy.Op != VOpcode::VCopy) {
-      std::string Key = Keys.keyOfVReg(I.VDst, 0);
-      if (!Key.empty()) {
+      if (uint32_t Key = Keys.keyOfVReg(I.VDst, 0)) {
         if (auto It = Leader.find(Key); It != Leader.end()) {
           // Redundant: route uses to the leader and drop the instruction.
           Rename[I.VDst.Id] = It->second;
           ++Removed;
           continue;
         }
-        Leader.emplace(std::move(Key), I.VDst);
+        Leader.emplace(Key, I.VDst);
       }
     }
     NewBody.push_back(std::move(Copy));

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 using namespace simdize;
@@ -87,14 +88,13 @@ unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
   int64_t LB = P.getLowerBound().isImm() ? P.getLowerBound().getImm() : B;
 
   // Map each keyable value to its first defining instruction.
-  std::map<std::string, int> ByKey;
+  std::unordered_map<uint32_t, int> ByKey;
   for (unsigned Idx = 0; Idx < OrigBody.size(); ++Idx) {
     const VInst &I = OrigBody[Idx];
     if (!I.isPure() || !I.definesVector())
       continue;
-    std::string Key = Keys.keyOfVReg(I.VDst, 0);
-    if (!Key.empty())
-      ByKey.try_emplace(std::move(Key), static_cast<int>(Idx));
+    if (uint32_t Key = Keys.keyOfVReg(I.VDst, 0))
+      ByKey.try_emplace(Key, static_cast<int>(Idx));
   }
 
   // Identify candidates: hoistable invariants and carried values.
@@ -111,11 +111,11 @@ unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
     const VInst &I = OrigBody[Idx];
     if (!I.isPure() || !I.definesVector())
       continue;
-    std::string K0 = Keys.keyOfVReg(I.VDst, 0);
-    if (K0.empty())
+    uint32_t K0 = Keys.keyOfVReg(I.VDst, 0);
+    if (K0 == 0)
       continue;
-    std::string KB = Keys.keyOfVReg(I.VDst, B);
-    if (KB.empty())
+    uint32_t KB = Keys.keyOfVReg(I.VDst, B);
+    if (KB == 0)
       continue;
 
     if (KB == K0) {

@@ -7,7 +7,6 @@
 #include "opt/SymbolicKey.h"
 
 #include "ir/Array.h"
-#include "support/Format.h"
 
 using namespace simdize;
 using namespace simdize::opt;
@@ -46,54 +45,56 @@ static int64_t floorDiv(int64_t Num, int64_t Den) {
   return Q;
 }
 
-std::string BodyKeys::keyOfAddr(const Address &A, int64_t DeltaElems) const {
-  // Body addresses are always counter-indexed; constant-index addresses
-  // belong to Setup/Epilogue code.
-  int64_t C = A.ElemOffset + DeltaElems;
-  if (MemNorm && A.Base->isAlignmentKnown()) {
-    // The truncating load reads chunk floor((align + c*D) / V) of the
-    // stream at counter multiples of B; key by that chunk.
-    int64_t Chunk = floorDiv(A.Base->getAlignment() +
-                                 C * static_cast<int64_t>(
-                                         A.Base->getElemSize()),
-                             P.getVectorLen());
-    return strf("%p#k%lld", static_cast<const void *>(A.Base),
-                static_cast<long long>(Chunk));
-  }
-  return strf("%p#o%lld", static_cast<const void *>(A.Base),
-              static_cast<long long>(C));
+namespace {
+
+/// First field of every numbered tuple: which kind of value it names.
+enum Tag : int64_t {
+  Invariant,  ///< (reg id): a register defined only outside the body.
+  LoadChunk,  ///< (array index, chunk): a memory-normalized load.
+  LoadOffset, ///< (array index, element offset): any other load.
+  SplatReg,   ///< (scalar reg id)
+  SplatImm,   ///< (immediate)
+  BinOp,      ///< (operator, lhs, rhs)
+  Cmp,        ///< (predicate, lhs, rhs)
+  Select,     ///< (mask, taken, untaken)
+  ShiftPair,  ///< (amount is a reg, reg id or immediate, lhs, rhs)
+  Splice,     ///< (point is a reg, reg id or immediate, lhs, rhs)
+};
+
+} // namespace
+
+std::vector<uint32_t> &BodyKeys::memoAt(int64_t DeltaElems) {
+  for (auto &[Delta, Numbers] : Memo)
+    if (Delta == DeltaElems)
+      return Numbers;
+  Memo.emplace_back(DeltaElems, std::vector<uint32_t>(DefIndex.size(),
+                                                      Unvisited));
+  return Memo.back().second;
 }
 
-std::string BodyKeys::keyOfSOp(const ScalarOperand &Op) const {
-  if (Op.IsReg)
-    return strf("s%u", Op.Reg.Id);
-  return strf("#%lld", static_cast<long long>(Op.Imm));
-}
-
-std::string BodyKeys::keyOfVReg(VRegId R, int64_t DeltaElems) {
+uint32_t BodyKeys::keyOfVReg(VRegId R, int64_t DeltaElems) {
   int Idx = DefIndex[R.Id];
   if (Idx == -2)
-    return std::string(); // Multiply defined: loop-carried, not keyable.
+    return 0; // Multiply defined: loop-carried, not keyable.
   if (Idx == -1)
-    return strf("ext:v%u", R.Id); // Loop invariant from Setup.
+    return Numbers.intern({Invariant, R.Id}); // Loop invariant from Setup.
 
-  auto MemoKey = std::make_pair(R.Id, DeltaElems);
-  if (auto It = Memo.find(MemoKey); It != Memo.end())
-    return It->second;
-  std::string Key = keyOfInst(P.getBody()[static_cast<size_t>(Idx)],
-                              DeltaElems);
-  Memo.emplace(MemoKey, Key);
+  if (uint32_t Known = memoAt(DeltaElems)[R.Id]; Known != Unvisited)
+    return Known;
+  uint32_t Key = keyOfInst(P.getBody()[static_cast<size_t>(Idx)],
+                           DeltaElems);
+  memoAt(DeltaElems)[R.Id] = Key;
   return Key;
 }
 
-std::string BodyKeys::keyOfInst(const VInst &I, int64_t DeltaElems) {
+uint32_t BodyKeys::keyOfInst(const VInst &I, int64_t DeltaElems) {
   if (I.Predicate)
-    return std::string(); // Conditional values are not keyable.
+    return 0; // Conditional values are not keyable.
 
   switch (I.Op) {
-  case VOpcode::VLoad:
+  case VOpcode::VLoad: {
     if (!I.Addr.Index)
-      return std::string();
+      return 0;
     // Loads of stored arrays do not bar keying: checkSimdizable admits at
     // most one storing statement per array and no explicit loads of it, so
     // the only aliasing load is an if-converted statement's own old-value
@@ -101,49 +102,59 @@ std::string BodyKeys::keyOfInst(const VInst &I, int64_t DeltaElems) {
     // only at the iteration performing its last load, after that load. Any
     // store between two same-chunk loads therefore targets a strictly
     // earlier chunk and cannot change the loaded value.
-    return "L(" + keyOfAddr(I.Addr, DeltaElems) + ")";
+    //
+    // Body addresses are always counter-indexed; constant-index addresses
+    // belong to Setup/Epilogue code.
+    const ir::Array *A = I.Addr.Base;
+    int64_t C = I.Addr.ElemOffset + DeltaElems;
+    if (MemNorm && A->isAlignmentKnown()) {
+      // The truncating load reads chunk floor((align + c*D) / V) of the
+      // stream at counter multiples of B; key by that chunk.
+      int64_t Chunk = floorDiv(
+          A->getAlignment() + C * static_cast<int64_t>(A->getElemSize()),
+          P.getVectorLen());
+      return Numbers.intern({LoadChunk, A->getIndex(), Chunk});
+    }
+    return Numbers.intern({LoadOffset, A->getIndex(), C});
+  }
   case VOpcode::VSplat:
     if (I.SOp1.IsReg)
-      return strf("P(s%u)", I.SOp1.Reg.Id);
-    return strf("P(%lld)", static_cast<long long>(I.SOp1.Imm));
-  case VOpcode::VBinOp: {
-    std::string L = keyOfVReg(I.VSrc1, DeltaElems);
-    std::string R = keyOfVReg(I.VSrc2, DeltaElems);
-    if (L.empty() || R.empty())
-      return std::string();
-    return strf("B(%d,", static_cast<int>(I.VectorOp)) + L + "," + R + ")";
-  }
+      return Numbers.intern({SplatReg, I.SOp1.Reg.Id});
+    return Numbers.intern({SplatImm, I.SOp1.Imm});
+  case VOpcode::VBinOp:
   case VOpcode::VCmp: {
-    std::string L = keyOfVReg(I.VSrc1, DeltaElems);
-    std::string R = keyOfVReg(I.VSrc2, DeltaElems);
-    if (L.empty() || R.empty())
-      return std::string();
-    return strf("C(%d,", static_cast<int>(I.CmpOp)) + L + "," + R + ")";
+    uint32_t L = keyOfVReg(I.VSrc1, DeltaElems);
+    uint32_t R = keyOfVReg(I.VSrc2, DeltaElems);
+    if (L == 0 || R == 0)
+      return 0;
+    if (I.Op == VOpcode::VBinOp)
+      return Numbers.intern(
+          {BinOp, static_cast<int64_t>(I.VectorOp), L, R});
+    return Numbers.intern({Cmp, static_cast<int64_t>(I.CmpOp), L, R});
   }
   case VOpcode::VSelect: {
-    std::string M = keyOfVReg(I.VSrc1, DeltaElems);
-    std::string S = keyOfVReg(I.VSrc2, DeltaElems);
-    std::string C = keyOfVReg(I.VSrc3, DeltaElems);
-    if (M.empty() || S.empty() || C.empty())
-      return std::string();
-    return "S(" + M + "," + S + "," + C + ")";
+    uint32_t M = keyOfVReg(I.VSrc1, DeltaElems);
+    uint32_t S = keyOfVReg(I.VSrc2, DeltaElems);
+    uint32_t C = keyOfVReg(I.VSrc3, DeltaElems);
+    if (M == 0 || S == 0 || C == 0)
+      return 0;
+    return Numbers.intern({Select, M, S, C});
   }
   case VOpcode::VShiftPair:
   case VOpcode::VSplice: {
-    std::string L = keyOfVReg(I.VSrc1, DeltaElems);
-    std::string R = keyOfVReg(I.VSrc2, DeltaElems);
-    if (L.empty() || R.empty())
-      return std::string();
-    const char *Tag = I.Op == VOpcode::VShiftPair ? "H" : "E";
-    return std::string(Tag) + "(" + keyOfSOp(I.SOp1) + "," + L + "," + R +
-           ")";
+    uint32_t L = keyOfVReg(I.VSrc1, DeltaElems);
+    uint32_t R = keyOfVReg(I.VSrc2, DeltaElems);
+    if (L == 0 || R == 0)
+      return 0;
+    int64_t Amount = I.SOp1.IsReg ? I.SOp1.Reg.Id : I.SOp1.Imm;
+    return Numbers.intern({I.Op == VOpcode::VShiftPair ? ShiftPair : Splice,
+                           I.SOp1.IsReg, Amount, L, R});
   }
-  case VOpcode::VCopy: {
+  case VOpcode::VCopy:
     // A copy's value is its source's — but copies mark loop-carried
     // rotation; their dsts are multiply-defined and already filtered.
     return keyOfVReg(I.VSrc1, DeltaElems);
-  }
   default:
-    return std::string();
+    return 0;
   }
 }

@@ -10,11 +10,13 @@
 #include "sim/Memory.h"
 #include "support/Debug.h"
 #include "support/Format.h"
+#include "support/Interner.h"
 #include "support/MathExtras.h"
 #include "synth/LowerBound.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
+#include <vector>
 
 using namespace simdize;
 using namespace simdize::oracle;
@@ -102,17 +104,17 @@ oracle::checkShiftCounts(const ir::Loop &L, const codegen::SimdizeResult &R,
 std::optional<Violation>
 oracle::checkNeverLoadTwice(const ir::Loop &L, unsigned VectorLen,
                             const sim::ExecStats &Stats) {
-  // Static accesses and accessed element-offset range per loaded array;
-  // chunks of store arrays (touched by the prologue/epilogue partial-store
-  // reads) are exempt.
+  // Static accesses and accessed element-offset range per loaded array,
+  // by declaration index; chunks of store arrays (touched by the
+  // prologue/epilogue partial-store reads) are exempt.
   struct ArrayInfo {
     int64_t Accesses = 0;
     int64_t MinOff = INT64_MAX;
     int64_t MaxOff = INT64_MIN;
   };
-  std::map<const ir::Array *, ArrayInfo> Arrays;
+  std::vector<ArrayInfo> Arrays(L.getArrays().size());
   auto AddAccess = [&Arrays](const ir::Array *A, int64_t Off) {
-    ArrayInfo &AI = Arrays[A];
+    ArrayInfo &AI = Arrays[A->getIndex()];
     ++AI.Accesses;
     AI.MinOff = std::min(AI.MinOff, Off);
     AI.MaxOff = std::max(AI.MaxOff, Off);
@@ -131,7 +133,7 @@ oracle::checkNeverLoadTwice(const ir::Loop &L, unsigned VectorLen,
   }
 
   // The checker's layout is deterministic in (loop, V): rebuild it to map
-  // chunk addresses back to array positions. The Section 4.3 guarantee is
+  // array positions to chunk addresses. The Section 4.3 guarantee is
   // about the steady state, so "interior" chunks must be margin vectors
   // away from *every* stream's prologue/epilogue zone, not just the bytes
   // the loop touches overall: when one array is read at several element
@@ -139,29 +141,37 @@ oracle::checkNeverLoadTwice(const ir::Loop &L, unsigned VectorLen,
   // so the window starts after the latest-starting stream's prologue
   // (MaxOff) and ends before the earliest-ending stream's epilogue
   // (MinOff). For a single-offset array this is the accessed byte range.
+  //
+  // Chunks are counted by address alone. That attributes them exactly:
+  // arrays lie at least 4V apart and the window sits 4V inside the
+  // accessed range, so no other array's stream reaches it.
   sim::MemoryLayout Layout(L, VectorLen);
-  const int64_t Margin = 4 * static_cast<int64_t>(VectorLen);
+  const int64_t V = VectorLen;
+  const int64_t Margin = 4 * V;
   const int64_t UB = L.getUpperBound();
-  for (const auto &[Key, Count] : Stats.ChunkLoads) {
-    const auto &[Arr, ChunkAddr] = Key;
-    auto It = Arrays.find(Arr);
-    if (It == Arrays.end())
+  const int64_t Tracked = static_cast<int64_t>(Stats.ChunkLoads.size());
+  for (const auto &Arr : L.getArrays()) {
+    const ArrayInfo &AI = Arrays[Arr->getIndex()];
+    if (AI.Accesses == 0)
       continue;
     int64_t Elem = Arr->getElemSize();
-    int64_t Base = Layout.baseOf(Arr);
-    int64_t Lo = Base + It->second.MaxOff * Elem;
-    int64_t End = Base + (UB - 1 + It->second.MinOff) * Elem + Elem;
-    bool Interior = ChunkAddr >= Lo + Margin &&
-                    ChunkAddr + VectorLen <= End - Margin;
-    if (Interior && Count > It->second.Accesses)
-      return Violation{
-          FailureKind::DoubleLoad,
-          strf("interior chunk @%lld of array '%s' loaded %lld times for "
-               "%lld static accesses: steady state reloaded stream data "
-               "(Section 4.3)",
-               static_cast<long long>(ChunkAddr), Arr->getName().c_str(),
-               static_cast<long long>(Count),
-               static_cast<long long>(It->second.Accesses))};
+    int64_t Base = Layout.baseOf(Arr.get());
+    int64_t Lo = Base + AI.MaxOff * Elem;
+    int64_t End = Base + (UB - 1 + AI.MinOff) * Elem + Elem;
+    for (int64_t ChunkAddr = std::max<int64_t>(0, alignTo(Lo + Margin, V));
+         ChunkAddr + V <= End - Margin && ChunkAddr / V < Tracked;
+         ChunkAddr += V) {
+      int64_t Count = Stats.ChunkLoads[static_cast<size_t>(ChunkAddr / V)];
+      if (Count > AI.Accesses)
+        return Violation{
+            FailureKind::DoubleLoad,
+            strf("interior chunk @%lld of array '%s' loaded %lld times for "
+                 "%lld static accesses: steady state reloaded stream data "
+                 "(Section 4.3)",
+                 static_cast<long long>(ChunkAddr), Arr->getName().c_str(),
+                 static_cast<long long>(Count),
+                 static_cast<long long>(AI.Accesses))};
+    }
   }
   return std::nullopt;
 }
@@ -184,44 +194,76 @@ bool isMisalignedAccess(const ir::Array *A, int64_t C, unsigned V) {
   return alignClassModV(A, C, V) != 0;
 }
 
-/// Structural key of an expression subtree. \p FoldB > 0 folds element
-/// offsets modulo B: predictive commoning carries values across
-/// iterations, so subtrees whose references differ by whole blocking
-/// factors produce the same stream and may legitimately be merged.
-void exprKey(const ir::Expr &E, int64_t FoldB, std::string &Out) {
-  switch (E.getKind()) {
-  case ir::ExprKind::ArrayRef: {
-    const auto &Ref = ir::cast<ir::ArrayRefExpr>(E);
-    int64_t Off = FoldB > 0 ? nonNegMod(Ref.getOffset(), FoldB)
-                            : Ref.getOffset();
-    Out += strf("a%p@%lld;", static_cast<const void *>(Ref.getArray()),
-                static_cast<long long>(Off));
-    return;
-  }
-  case ir::ExprKind::Splat:
-    Out += strf("s%lld;",
-                static_cast<long long>(ir::cast<ir::SplatExpr>(E).getValue()));
-    return;
-  case ir::ExprKind::Param:
-    Out += strf("p%p;", static_cast<const void *>(
-                            ir::cast<ir::ParamExpr>(E).getParam()));
-    return;
-  case ir::ExprKind::BinOp: {
-    const auto &Bin = ir::cast<ir::BinOpExpr>(E);
-    Out += strf("(%d;", static_cast<int>(Bin.getOp()));
-    exprKey(Bin.getLHS(), FoldB, Out);
-    exprKey(Bin.getRHS(), FoldB, Out);
-    Out += ")";
-    return;
-  }
-  }
-  simdize_unreachable("unknown expression kind");
-}
+/// First field of every tuple the OPD floor numbers.
+enum FloorTag : int64_t {
+  RefTag,          ///< (array index, element offset)
+  SplatTag,        ///< (value)
+  ParamTag,        ///< (parameter object)
+  BinOpTag,        ///< (operator, lhs, rhs)
+  GuardTag,        ///< (comparison, lhs, rhs): an if-statement's compare
+  BlendTag,        ///< (statement): an if-statement's blend
+  AccumulateTag,   ///< (statement): a reduction's accumulate
+  IfStoreShiftTag, ///< (statement): an if-statement's store realignment
+  StoreShiftTag,   ///< (value, store class): a static store realignment
+  RuntimeShiftTag, ///< (value, array index): a runtime store realignment
+};
 
-bool containsRef(const ir::Expr &E) {
-  bool Found = false;
-  E.walk([&](const ir::Expr &Sub) { Found |= ir::isa<ir::ArrayRefExpr>(Sub); });
-  return Found;
+/// Value numbers of expression subtrees: equal numbers mean structurally
+/// equal subtrees. \p FoldB > 0 folds element offsets modulo B: predictive
+/// commoning carries values across iterations, so subtrees whose
+/// references differ by whole blocking factors produce the same stream
+/// and may legitimately be merged.
+class FloorNumbering {
+public:
+  explicit FloorNumbering(int64_t FoldB) : FoldB(FoldB) {}
+
+  /// Numbers \p E and its subtrees in one post-order pass. \returns the
+  /// number of \p E and whether it reads an array; appends every array
+  /// reference to Refs and the number of every BinOp that reads an array
+  /// to Compute.
+  std::pair<uint32_t, bool> number(const ir::Expr &E) {
+    switch (E.getKind()) {
+    case ir::ExprKind::ArrayRef: {
+      const auto &Ref = ir::cast<ir::ArrayRefExpr>(E);
+      Refs.push_back(&Ref);
+      int64_t Off = FoldB > 0 ? nonNegMod(Ref.getOffset(), FoldB)
+                              : Ref.getOffset();
+      return {intern({RefTag, Ref.getArray()->getIndex(), Off}), true};
+    }
+    case ir::ExprKind::Splat:
+      return {intern({SplatTag, ir::cast<ir::SplatExpr>(E).getValue()}),
+              false};
+    case ir::ExprKind::Param:
+      return {intern({ParamTag, reinterpret_cast<intptr_t>(
+                                    ir::cast<ir::ParamExpr>(E).getParam())}),
+              false};
+    case ir::ExprKind::BinOp: {
+      const auto &Bin = ir::cast<ir::BinOpExpr>(E);
+      auto [L, LRef] = number(Bin.getLHS());
+      auto [R, RRef] = number(Bin.getRHS());
+      uint32_t Id = intern({BinOpTag, static_cast<int64_t>(Bin.getOp()), L, R});
+      if (LRef || RRef)
+        Compute.push_back(Id);
+      return {Id, LRef || RRef};
+    }
+    }
+    simdize_unreachable("unknown expression kind");
+  }
+
+  uint32_t intern(const TupleInterner<4>::Tuple &T) { return Ids.intern(T); }
+
+  std::vector<const ir::ArrayRefExpr *> Refs;
+  std::vector<uint32_t> Compute;
+
+private:
+  int64_t FoldB;
+  TupleInterner<4> Ids;
+};
+
+/// Number of distinct values in \p Ids.
+int64_t countDistinct(std::vector<uint32_t> &Ids) {
+  std::sort(Ids.begin(), Ids.end());
+  return std::unique(Ids.begin(), Ids.end()) - Ids.begin();
 }
 
 } // namespace
@@ -256,89 +298,68 @@ double oracle::opdFloor(const ir::Loop &L, unsigned VectorLen,
   //    in graph-dependent ways, so their optimized floor is 0;
   //  * stores — never removed: one per statement.
   bool PC = Opt == OptLevel::PC;
-  int64_t FoldB = PC ? B : 0;
+  FloorNumbering Num(PC ? B : 0);
 
   std::set<const ir::Array *> LoadedArrays;
   std::set<std::pair<const ir::Array *, int64_t>> MisalignedClasses;
-  std::set<std::string> ComputeKeys;
+  auto AddLoad = [&](const ir::Array *A, int64_t Off) {
+    LoadedArrays.insert(A);
+    if (isMisalignedAccess(A, Off, VectorLen))
+      MisalignedClasses.insert({A, alignClassModV(A, Off, VectorLen)});
+  };
+  std::vector<uint32_t> StoreShifts;
   for (size_t Idx = 0; Idx < L.getStmts().size(); ++Idx) {
     const ir::Stmt &S = *L.getStmts()[Idx];
-    S.forEachExpr([&](const ir::Expr &Root) {
-      Root.walk([&](const ir::Expr &E) {
-        if (const auto *Ref = ir::dyn_cast<ir::ArrayRefExpr>(E)) {
-          const ir::Array *A = Ref->getArray();
-          LoadedArrays.insert(A);
-          if (isMisalignedAccess(A, Ref->getOffset(), VectorLen))
-            MisalignedClasses.insert(
-                {A, alignClassModV(A, Ref->getOffset(), VectorLen)});
-        }
-        if (ir::isa<ir::BinOpExpr>(E) && containsRef(E)) {
-          std::string Key;
-          exprKey(E, FoldB, Key);
-          ComputeKeys.insert(std::move(Key));
-        }
-      });
-    });
+    const int64_t Stmt = static_cast<int64_t>(Idx);
+    const ir::Array *A = S.getStoreArray();
     if (S.isIf()) {
       // The implicit old-value reload is a per-iteration load of the store
       // target; loads of stored arrays are never keyable, so the blend can
       // never merge — one per statement. The comparison reads only guard
       // streams and does dedup structurally.
-      LoadedArrays.insert(S.getStoreArray());
-      if (isMisalignedAccess(S.getStoreArray(), S.getStoreOffset(),
-                             VectorLen))
-        MisalignedClasses.insert(
-            {S.getStoreArray(),
-             alignClassModV(S.getStoreArray(), S.getStoreOffset(),
-                            VectorLen)});
-      std::string CmpKey = strf("cmp(%d;", static_cast<int>(S.getCmpKind()));
-      exprKey(S.getGuardLHS(), FoldB, CmpKey);
-      exprKey(S.getGuardRHS(), FoldB, CmpKey);
-      CmpKey += ")";
-      ComputeKeys.insert(std::move(CmpKey));
-      ComputeKeys.insert(strf("blend#%zu", Idx));
+      AddLoad(A, S.getStoreOffset());
+      uint32_t GuardL = Num.number(S.getGuardLHS()).first;
+      uint32_t GuardR = Num.number(S.getGuardRHS()).first;
+      Num.Compute.push_back(Num.intern(
+          {GuardTag, static_cast<int64_t>(S.getCmpKind()), GuardL, GuardR}));
+      Num.Compute.push_back(Num.intern({BlendTag, Stmt}));
     }
+    auto [Value, ReadsMemory] = Num.number(S.getRHS());
     if (S.isReduce()) {
       // The accumulate reads a multiply-defined carry register: unkeyable,
-      // one per statement per iteration.
-      ComputeKeys.insert(strf("acc#%zu", Idx));
+      // one per statement per iteration. Accumulated in a register, it
+      // has no steady store stream either.
+      Num.Compute.push_back(Num.intern({AccumulateTag, Stmt}));
+      continue;
     }
+    if (Policy != policies::PolicyKind::Zero ||
+        !isMisalignedAccess(A, S.getStoreOffset(), VectorLen))
+      continue;
+    if (S.isIf())
+      // The blended value feeds the store shift and the blend is never
+      // mergeable, so the shift executes per statement.
+      StoreShifts.push_back(Num.intern({IfStoreShiftTag, Stmt}));
+    else if (!ReadsMemory)
+      continue; // Pure-splat source: ⊥ satisfies C.2, no store shift.
+    else if (A->isAlignmentKnown())
+      StoreShifts.push_back(Num.intern(
+          {StoreShiftTag, Value,
+           alignClassModV(A, S.getStoreOffset(), VectorLen)}));
+    else
+      StoreShifts.push_back(
+          Num.intern({RuntimeShiftTag, Value, A->getIndex()}));
   }
+  for (const ir::ArrayRefExpr *Ref : Num.Refs)
+    AddLoad(Ref->getArray(), Ref->getOffset());
 
   int64_t Loads =
       PC ? static_cast<int64_t>(LoadedArrays.size())
          : synth::computeLowerBound(L, VectorLen, Policy).DistinctLoads;
 
   int64_t Shifts = 0;
-  if (Policy == policies::PolicyKind::Zero) {
-    Shifts = static_cast<int64_t>(MisalignedClasses.size());
-    std::set<std::string> StoreShiftKeys;
-    for (size_t Idx = 0; Idx < L.getStmts().size(); ++Idx) {
-      const ir::Stmt &S = *L.getStmts()[Idx];
-      if (S.isReduce())
-        continue; // Accumulated in a register: no steady store stream.
-      const ir::Array *A = S.getStoreArray();
-      if (!isMisalignedAccess(A, S.getStoreOffset(), VectorLen))
-        continue;
-      if (S.isIf()) {
-        // The blended value feeds the store shift and the blend is never
-        // mergeable, so the shift executes per statement.
-        StoreShiftKeys.insert(strf("if#%zu", Idx));
-        continue;
-      }
-      if (!containsRef(S.getRHS()))
-        continue; // Pure-splat source: ⊥ satisfies C.2, no store shift.
-      std::string Key;
-      exprKey(S.getRHS(), FoldB, Key);
-      if (A->isAlignmentKnown())
-        Key += strf("|c%lld", static_cast<long long>(alignClassModV(
-                                  A, S.getStoreOffset(), VectorLen)));
-      else
-        Key += strf("|r%p", static_cast<const void *>(A));
-      StoreShiftKeys.insert(std::move(Key));
-    }
-    Shifts += static_cast<int64_t>(StoreShiftKeys.size());
-  }
+  if (Policy == policies::PolicyKind::Zero)
+    Shifts = static_cast<int64_t>(MisalignedClasses.size()) +
+             countDistinct(StoreShifts);
 
   unsigned StoringStmts = 0;
   for (const auto &S : L.getStmts())
@@ -349,7 +370,7 @@ double oracle::opdFloor(const ir::Loop &L, unsigned VectorLen,
   Floor.DistinctLoads = Loads;
   Floor.Stores = StoringStmts;
   Floor.Shifts = Shifts;
-  Floor.Compute = static_cast<int64_t>(ComputeKeys.size());
+  Floor.Compute = countDistinct(Num.Compute);
   return Floor.opd(static_cast<unsigned>(B), Stmts);
 }
 

@@ -58,10 +58,10 @@ struct CheckContext {
 
 /// Per-check switches.
 struct CheckOptions {
-  /// Maintain exact per-(array, chunk) load and store provenance in the
-  /// returned ExecStats (what NeverLoadTwiceTest and the heatmap
-  /// inspect). Costs a map insert per dynamic access; bulk throughput
-  /// paths leave it off.
+  /// Maintain the per-chunk load and store counts in the returned
+  /// ExecStats (what the never-load-twice oracle, NeverLoadTwiceTest and
+  /// the heatmap inspect). Costs a counter per chunk of memory and an
+  /// increment per dynamic access; bulk throughput paths leave it off.
   bool TrackChunkLoads = false;
   /// Maintain per-VInst-PC execution counts (ExecStats::PCCounts) with
   /// setup/body/epilogue attribution. The reference engine maintains them

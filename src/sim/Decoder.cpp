@@ -13,6 +13,7 @@
 #include "support/MathExtras.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 using namespace simdize;
@@ -198,7 +199,6 @@ DInst DecodedProgram::decodeInst(const VInst &I, const MemoryLayout &Layout) {
       D.Idx = constSlot(0);
     }
     D.Scale = D_;
-    D.Base = A.Base;
   };
 
   switch (I.Op) {
@@ -349,15 +349,22 @@ namespace sim {
 
 /// One run of a decoded program. Count selects per-instruction accounting
 /// (needed for predicated blocks and the one-shot setup/epilogue); Track
-/// selects exact chunk-load provenance. Both are template parameters so the
-/// steady-state fast path carries neither.
+/// selects the per-chunk load and store counts. Both are template
+/// parameters so the steady-state fast path carries neither.
 class DecodedRunner {
 public:
   DecodedRunner(const DecodedProgram &DP, Memory &Mem)
-      : DP(DP), Mem(Mem), VRegs(DP.NumVRegs), SRegs(DP.NumSlots, 0) {}
+      : DP(DP), Mem(Mem), VRegs(DP.NumVRegs), SRegs(DP.NumSlots, 0),
+        ChunkShift(static_cast<unsigned>(std::countr_zero(DP.VectorLen))) {}
 
   ExecStats run(const ExecOptions &Opts) {
     Stats.Counts.CallRet = 2; // One call + return per program (Sec. 5.3).
+
+    if (Opts.TrackChunkLoads) {
+      const size_t Chunks = static_cast<size_t>(Mem.size() >> ChunkShift);
+      Stats.ChunkLoads.assign(Chunks, 0);
+      Stats.ChunkStores.assign(Chunks, 0);
+    }
 
     for (auto [Slot, Value] : DP.InitialBindings)
       SRegs[Slot] = Value;
@@ -461,7 +468,7 @@ private:
         std::memcpy(VRegs[I.VDst].data(), Mem.data() + Chunk,
                     static_cast<size_t>(V));
         if constexpr (Track)
-          ++Stats.ChunkLoads[{I.Base, Chunk}];
+          ++Stats.ChunkLoads[static_cast<size_t>(Chunk >> ChunkShift)];
         break;
       }
       case DKind::Store: {
@@ -472,7 +479,7 @@ private:
         std::memcpy(Mem.data() + Chunk, VRegs[I.VSrc1].data(),
                     static_cast<size_t>(V));
         if constexpr (Track)
-          ++Stats.ChunkStores[{I.Base, Chunk}];
+          ++Stats.ChunkStores[static_cast<size_t>(Chunk >> ChunkShift)];
         break;
       }
       case DKind::Splat: {
@@ -585,6 +592,8 @@ private:
   Memory &Mem;
   std::vector<VectorValue> VRegs;
   std::vector<int64_t> SRegs;
+  /// log2(V): a chunk's counter index is its byte address >> ChunkShift.
+  const unsigned ChunkShift;
   ExecStats Stats;
 };
 

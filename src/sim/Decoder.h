@@ -24,10 +24,10 @@
 ///
 /// Blocks containing predicated instructions fall back to per-instruction
 /// accounting (their dynamic counts depend on register values), and exact
-/// per-chunk load provenance (ExecStats::ChunkLoads) is maintained only
-/// when ExecOptions::TrackChunkLoads asks for it — the tests that assert
-/// the never-load-twice guarantee do; the fuzzer's throughput path does
-/// not.
+/// per-chunk load and store counts (ExecStats::ChunkLoads/ChunkStores) are
+/// maintained only when ExecOptions::TrackChunkLoads asks for it — the
+/// never-load-twice oracle and the tests that assert it do; the fuzzer's
+/// configurations without reuse do not.
 ///
 /// The byte-at-a-time interpreter in Machine.{h,cpp} stays as the reference
 /// implementation; tests/EngineEquivalenceTest.cpp differentially checks
@@ -45,10 +45,6 @@
 #include <vector>
 
 namespace simdize {
-
-namespace ir {
-class Array;
-} // namespace ir
 
 namespace sim {
 
@@ -95,7 +91,6 @@ struct DInst {
   BinOpKernel Kernel = nullptr;
   vir::SBinOpKind ScalarOp = vir::SBinOpKind::Add;
   vir::SCmpKind CmpOp = vir::SCmpKind::EQ;
-  const ir::Array *Base = nullptr; ///< ChunkLoads provenance (slow path).
 };
 
 /// A decoded straight-line block with its decode-time accounting.
@@ -111,10 +106,10 @@ struct DBlock {
 
 /// Per-run switches of the decoded engine.
 struct ExecOptions {
-  /// Maintain the exact per-(array, chunk) load and store counts of the
-  /// reference interpreter. Off by default: the map insert per dynamic
-  /// access is the single most expensive part of the reference engine's
-  /// hot loop.
+  /// Maintain the per-chunk load and store counts of the reference
+  /// interpreter (ExecStats::ChunkLoads/ChunkStores). Off by default: it
+  /// costs a counter update per dynamic access and a counter per chunk of
+  /// memory.
   bool TrackChunkLoads = false;
   /// Maintain ExecStats::PCCounts (per-instruction execution counts with
   /// setup/body/epilogue attribution). The steady state stays batched —
@@ -125,8 +120,8 @@ struct ExecOptions {
 
 /// A vir::VProgram decoded against one MemoryLayout. Immutable once built;
 /// one decode serves any number of runs (the checker reuses it across
-/// memory images). Holds raw ir::Array pointers for provenance only, so it
-/// must not outlive the loop the layout was built from.
+/// memory images). Addresses are resolved to byte offsets, so it holds no
+/// reference to the loop or the program.
 class DecodedProgram {
 public:
   DecodedProgram(const vir::VProgram &P, const MemoryLayout &Layout);
@@ -177,7 +172,8 @@ private:
 
 /// Executes \p DP over \p Mem and returns statistics identical to what
 /// sim::runProgram produces for the original program — except that
-/// ExecStats::ChunkLoads is populated only when \p Opts asks for it.
+/// ExecStats::ChunkLoads and ChunkStores are filled only when \p Opts asks
+/// for them.
 ExecStats runDecoded(const DecodedProgram &DP, Memory &Mem,
                      const ExecOptions &Opts = {});
 

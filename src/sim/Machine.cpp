@@ -77,6 +77,10 @@ public:
     Stats.PCCounts.Setup.assign(P.getSetup().size(), 0);
     Stats.PCCounts.Body.assign(P.getBody().size(), 0);
     Stats.PCCounts.Epilogue.assign(P.getEpilogue().size(), 0);
+    // Likewise the per-chunk load and store counts.
+    const size_t Chunks = static_cast<size_t>(Mem.size() / P.getVectorLen());
+    Stats.ChunkLoads.assign(Chunks, 0);
+    Stats.ChunkStores.assign(Chunks, 0);
 
     execBlock(P.getSetup(), Stats.PCCounts.Setup);
 
@@ -149,7 +153,7 @@ private:
       assert(Chunk >= 0 && Chunk + V <= Mem.size() && "vload out of bounds");
       std::memcpy(VRegs[I.VDst.Id].data(), Mem.data() + Chunk,
                   static_cast<size_t>(V));
-      ++Stats.ChunkLoads[{I.Addr.Base, Chunk}];
+      ++Stats.ChunkLoads[static_cast<size_t>(Chunk / V)];
       break;
     }
     case VOpcode::VStore: {
@@ -157,7 +161,7 @@ private:
       assert(Chunk >= 0 && Chunk + V <= Mem.size() && "vstore out of bounds");
       std::memcpy(Mem.data() + Chunk, VRegs[I.VSrc1.Id].data(),
                   static_cast<size_t>(V));
-      ++Stats.ChunkStores[{I.Addr.Base, Chunk}];
+      ++Stats.ChunkStores[static_cast<size_t>(Chunk / V)];
       break;
     }
     case VOpcode::VSplat: {

@@ -28,8 +28,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace simdize {
@@ -98,12 +96,13 @@ struct PCProfile {
 struct ExecStats {
   OpCounts Counts;
   int64_t SteadyIterations = 0;
-  /// Dynamic loads per (array, aligned chunk address); lets tests verify
-  /// the paper's never-load-twice guarantee.
-  std::map<std::pair<const ir::Array *, int64_t>, int64_t> ChunkLoads;
-  /// Dynamic stores per (array, aligned chunk address); with ChunkLoads
-  /// this forms the per-(array, chunk) access heatmap.
-  std::map<std::pair<const ir::Array *, int64_t>, int64_t> ChunkStores;
+  /// Dynamic loads per aligned chunk, indexed by chunk byte address / V;
+  /// the input of the paper's never-load-twice oracle. Empty when chunk
+  /// tracking is off (the reference interpreter always tracks).
+  std::vector<int64_t> ChunkLoads;
+  /// Dynamic stores per aligned chunk, indexed the same way; with
+  /// ChunkLoads this forms the per-chunk access heatmap.
+  std::vector<int64_t> ChunkStores;
   /// Per-VInst-PC execution counts; populated by the reference
   /// interpreter always and by the decoded engine under
   /// ExecOptions::TrackPCCounts.

@@ -204,21 +204,6 @@ TEST(Codegen, DegenerateShiftIsElided) {
   EXPECT_EQ(countOps(R.Program->getBody(), vir::VOpcode::VShiftPair), 0u);
 }
 
-TEST(Codegen, GraphDumpsExposedPerStatement) {
-  ir::Loop L;
-  ir::Array *A = L.createArray("a", ir::ElemType::Int32, 128, 0, true);
-  ir::Array *B = L.createArray("b", ir::ElemType::Int32, 128, 4, true);
-  ir::Array *X = L.createArray("x", ir::ElemType::Int32, 128, 8, true);
-  L.addStmt(A, 0, ir::ref(X, 0));
-  L.addStmt(B, 0, ir::ref(X, 1));
-  L.setUpperBound(100, true);
-  SimdizeResult R= codegen::simdize(L, SimdizeOptions());
-  ASSERT_TRUE(R.ok()) << R.Error;
-  ASSERT_EQ(R.GraphDumps.size(), 2u);
-  EXPECT_NE(R.GraphDumps[0].find("vstore a"), std::string::npos);
-  EXPECT_NE(R.GraphDumps[1].find("vstore b"), std::string::npos);
-}
-
 TEST(Codegen, MultiStatementSharedLoadStreams) {
   // Two statements reading the same array: correctness under every policy.
   for (auto Policy : policies::allPolicies()) {

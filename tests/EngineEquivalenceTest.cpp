@@ -9,7 +9,7 @@
 /// committed corpus and a band of synthesized loops, every applicable
 /// pipeline configuration must execute identically on the byte-at-a-time
 /// reference interpreter and on runDecoded — final memory, OpCounts,
-/// SteadyIterations, and per-(array, chunk) load provenance all
+/// SteadyIterations, and the per-chunk load and store counts all
 /// bit-for-bit. The decoded engine carries every correctness check in this
 /// repository, so its equivalence to the reference is itself a tier-1
 /// property.
@@ -55,7 +55,7 @@ std::optional<vir::VProgram> buildProgram(const ir::Loop &L,
 }
 
 /// Runs \p P on both engines over the same initial image and demands
-/// identical memory, op counts, iteration counts, and chunk provenance.
+/// identical memory, op counts, iteration counts, and chunk counts.
 void expectEnginesAgree(const ir::Loop &L, const vir::VProgram &P,
                         uint64_t Seed) {
   sim::ReferenceImage Ref(L, P.getVectorLen(), Seed);
@@ -79,7 +79,9 @@ void expectEnginesAgree(const ir::Loop &L, const vir::VProgram &P,
       << " C=" << DecStats.Counts.Compute;
   EXPECT_EQ(RefStats.SteadyIterations, DecStats.SteadyIterations);
   EXPECT_TRUE(RefStats.ChunkLoads == DecStats.ChunkLoads)
-      << "chunk-load provenance differs";
+      << "per-chunk load counts differ";
+  EXPECT_TRUE(RefStats.ChunkStores == DecStats.ChunkStores)
+      << "per-chunk store counts differ";
 }
 
 /// Every applicable configuration of \p L, both engines, two seeds.

@@ -549,16 +549,27 @@ TEST(ObsProfile, ChunkHeatmapTracksLoadsAndStores) {
   sim::CheckResult C = sim::checkSimdization(L, *R.Program, Ref, nullptr, CO);
   ASSERT_TRUE(C.Ok) << C.Message;
 
-  EXPECT_FALSE(C.Stats.ChunkLoads.empty());
-  EXPECT_FALSE(C.Stats.ChunkStores.empty());
-  // Every dynamic access lands in exactly one heatmap cell.
+  // One cell per chunk of memory, and every dynamic access lands in
+  // exactly one of them.
+  size_t Cells = static_cast<size_t>(Ref.getLayout().getTotalSize() /
+                                     R.Program->getVectorLen());
+  EXPECT_EQ(C.Stats.ChunkLoads.size(), Cells);
+  EXPECT_EQ(C.Stats.ChunkStores.size(), Cells);
   int64_t Loads = 0, Stores = 0;
-  for (const auto &[Cell, N] : C.Stats.ChunkLoads)
+  for (int64_t N : C.Stats.ChunkLoads)
     Loads += N;
-  for (const auto &[Cell, N] : C.Stats.ChunkStores)
+  for (int64_t N : C.Stats.ChunkStores)
     Stores += N;
+  EXPECT_GT(Loads, 0);
+  EXPECT_GT(Stores, 0);
   EXPECT_EQ(Loads, C.Stats.Counts.Loads);
   EXPECT_EQ(Stores, C.Stats.Counts.Stores);
+
+  // Without tracking the heatmap is not built at all.
+  sim::CheckResult Untracked = sim::checkSimdization(L, *R.Program, Ref);
+  ASSERT_TRUE(Untracked.Ok) << Untracked.Message;
+  EXPECT_TRUE(Untracked.Stats.ChunkLoads.empty());
+  EXPECT_TRUE(Untracked.Stats.ChunkStores.empty());
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Simdizer.h"
+#include "fuzz/CorpusIO.h"
+#include "fuzz/Fuzzer.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
@@ -14,7 +16,10 @@
 #include "opt/Pipeline.h"
 #include "opt/PredictiveCommoning.h"
 #include "opt/UnrollRemoveCopies.h"
+#include "parser/LoopParser.h"
+#include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
+#include "synth/LoopSynth.h"
 
 #include <gtest/gtest.h>
 
@@ -326,6 +331,51 @@ TEST(Pipeline, FullConfigurationsStayCorrect) {
       }
     }
   }
+}
+
+/// Optimizer decisions summed over many compiles.
+struct DecisionTotals {
+  uint64_t CSERemoved = 0, PCReplaced = 0, CopiesRemoved = 0, DCERemoved = 0;
+  uint64_t ShiftCount = 0;
+
+  /// Compiles \p L under every fuzz configuration at V = 16/32/64.
+  void add(const ir::Loop &L) {
+    for (unsigned W : {16u, 32u, 64u})
+      for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+        pipeline::CompileResult R = pipeline::runPipeline(L, C);
+        if (!R.Simd.ok())
+          continue;
+        ShiftCount += R.Simd.ShiftCount;
+        CSERemoved += R.Opt.CSERemoved;
+        PCReplaced += R.Opt.PCReplaced;
+        CopiesRemoved += R.Opt.CopiesRemoved;
+        DCERemoved += R.Opt.DCERemoved;
+      }
+  }
+};
+
+TEST(Pipeline, OptimizerDecisionTotalsArePinned) {
+  // CSE and predictive commoning decide by symbolic value identity; a key
+  // that merges two different values or splits one value moves these
+  // totals. Changing them needs a reason, not a re-record.
+  DecisionTotals T;
+  std::vector<std::string> Files = fuzz::listCorpusFiles(SIMDIZE_CORPUS_DIR);
+  ASSERT_EQ(Files.size(), 5u);
+  for (const std::string &Path : Files) {
+    auto Text = fuzz::readCorpusFile(Path);
+    ASSERT_TRUE(Text.has_value()) << Path;
+    parser::ParseResult Parsed = parser::parseLoop(*Text);
+    ASSERT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
+    T.add(*Parsed.Loop);
+  }
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    T.add(synth::synthesizeLoop(fuzz::paramsForSeed(Seed, 64, true, true)));
+
+  EXPECT_EQ(T.CSERemoved, 20758u);
+  EXPECT_EQ(T.PCReplaced, 22860u);
+  EXPECT_EQ(T.CopiesRemoved, 48634u);
+  EXPECT_EQ(T.DCERemoved, 14441u);
+  EXPECT_EQ(T.ShiftCount, 64392u);
 }
 
 } // namespace

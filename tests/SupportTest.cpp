@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Format.h"
+#include "support/Interner.h"
 #include "support/MathExtras.h"
 #include "support/RNG.h"
 
@@ -133,6 +134,27 @@ TEST(Format, Padding) {
   EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("abcd", 2), "abcd");
   EXPECT_EQ(padRight("abcd", 2), "abcd");
+}
+
+TEST(TupleInterner, DenseIdsInFirstSeenOrder) {
+  TupleInterner<3> Ids;
+  EXPECT_EQ(Ids.intern({1, 2, 3}), 1u);
+  EXPECT_EQ(Ids.intern({3, 2, 1}), 2u);
+  EXPECT_EQ(Ids.intern({1, 2, 3}), 1u);
+  EXPECT_EQ(Ids.intern({0, 0, 0}), 3u); // An all-zero tuple is a value too.
+  EXPECT_EQ(Ids.intern({-1, INT64_MIN, INT64_MAX}), 4u);
+  EXPECT_EQ(Ids.size(), 4u);
+}
+
+TEST(TupleInterner, IdsSurviveGrowth) {
+  // Thousands of tuples force many rehashes; every tuple keeps its id.
+  TupleInterner<2> Ids;
+  for (int64_t K = 0; K < 5000; ++K)
+    ASSERT_EQ(Ids.intern({K, -K}), static_cast<uint32_t>(K + 1));
+  for (int64_t K = 0; K < 5000; ++K)
+    ASSERT_EQ(Ids.intern({K, -K}), static_cast<uint32_t>(K + 1));
+  EXPECT_EQ(Ids.intern({1, 1}), 5001u);
+  EXPECT_EQ(Ids.size(), 5001u);
 }
 
 } // namespace

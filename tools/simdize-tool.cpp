@@ -284,24 +284,21 @@ int runTool(const ToolOptions &Opts) {
   }
 
   if (Opts.DumpGraph) {
-    if (Opts.DumpGraphDot) {
-      // Re-derive the post-placement graphs for structured DOT output (the
-      // text dumps in R are pre-rendered).
-      std::unique_ptr<policies::ShiftPolicy> Policy =
-          policies::createPolicy(UsedSimd.Policy, UsedSimd.SoftwarePipelining);
-      const auto &Stmts = Run.getStmts();
-      for (size_t K = 0; K < Stmts.size(); ++K) {
-        reorg::Graph G = reorg::buildGraph(*Stmts[K], Req.Simd.vectorLen());
-        if (Policy->place(G))
-          continue; // proven applicable by simdize() above
-        std::printf("%s\n",
-                    reorg::printGraphDot(G, strf("stmt%zu", K)).c_str());
-      }
-    } else {
+    // Re-derive the post-placement graphs the program was compiled from.
+    if (!Opts.DumpGraphDot)
       std::printf("-- data reorganization graphs (%s, %u vshiftstream) --\n",
                   policies::policyName(R.ResolvedPolicy), R.Simd.ShiftCount);
-      for (const std::string &Dump : R.Simd.GraphDumps)
-        std::printf("%s\n", Dump.c_str());
+    std::unique_ptr<policies::ShiftPolicy> Policy =
+        policies::createPolicy(UsedSimd.Policy, UsedSimd.SoftwarePipelining);
+    const auto &Stmts = Run.getStmts();
+    for (size_t K = 0; K < Stmts.size(); ++K) {
+      reorg::Graph G = reorg::buildGraph(*Stmts[K], Req.Simd.vectorLen());
+      if (Policy->place(G))
+        continue; // proven applicable by simdize() above
+      std::string Dump = Opts.DumpGraphDot
+                             ? reorg::printGraphDot(G, strf("stmt%zu", K))
+                             : reorg::printGraph(G);
+      std::printf("%s\n", Dump.c_str());
     }
   }
 
