@@ -147,7 +147,7 @@ int main(int Argc, char **Argv) {
 
   // Stable stores for everything the timed closures borrow.
   std::deque<ir::Loop> Loops;
-  std::deque<sim::OracleCache> Oracles;
+  std::deque<sim::ReferenceImage> Images;
   std::deque<pipeline::CompileResult> Programs;
 
   struct Pending {
@@ -166,12 +166,11 @@ int main(int Argc, char **Argv) {
   std::vector<synth::SynthParams> Params = benchLoops();
   for (size_t LI = 0; LI < Params.size(); ++LI) {
     Loops.push_back(synth::synthesizeLoop(Params[LI]));
-    Oracles.emplace_back(Loops.back(), 7);
     const ir::Loop &L = Loops.back();
     std::string LoopName =
         strf("loop%zu-%s", LI, ir::elemTypeName(Params[LI].Ty));
     for (unsigned W : Widths) {
-      const sim::ReferenceImage &Ref = Oracles.back().get(W);
+      const sim::ReferenceImage &Ref = Images.emplace_back(L, W, 7);
       for (policies::PolicyKind Policy : Policies) {
         pipeline::CompileRequest Req;
         Req.Simd.Policy = Policy;

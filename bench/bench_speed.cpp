@@ -27,6 +27,7 @@
 #include "sim/Checker.h"
 #include "sim/Decoder.h"
 #include "synth/LoopSynth.h"
+#include "vir/VVerifier.h"
 
 #include <benchmark/benchmark.h>
 
@@ -213,9 +214,9 @@ BENCHMARK(BM_ExecuteNative);
 /// The fuzzer's per-seed check loop: every applicable configuration of the
 /// bench loop, programs pre-built so only the checking side is timed.
 /// items_per_second = configurations checked per second. Baseline is the
-/// pre-PR pipeline (reference interpreter, chunk tracking, a fresh scalar
-/// oracle per check); Fast is what runFuzz now does (decoded engine, one
-/// OracleCache per seed).
+/// pre-decoder check (verify, then the reference interpreter with its
+/// always-on chunk tracking over a fresh scalar oracle per check); Fast is
+/// what runFuzz does (decoded engine, one ReferenceImage per width).
 void checkThroughput(benchmark::State &State, bool Fast) {
   ir::Loop L = synth::synthesizeLoop(benchLoopParams());
   std::vector<vir::VProgram> Programs;
@@ -229,20 +230,18 @@ void checkThroughput(benchmark::State &State, bool Fast) {
   uint64_t Checked = 0;
   for (auto _ : State) {
     if (Fast) {
-      sim::OracleCache Oracle(L, 7);
+      sim::ReferenceImage Ref(L, Programs.front().getVectorLen(), 7);
       for (const vir::VProgram &P : Programs) {
-        sim::CheckResult C =
-            sim::checkSimdization(L, P, Oracle.get(P.getVectorLen()));
+        sim::CheckResult C = sim::checkSimdization(L, P, Ref);
         benchmark::DoNotOptimize(C.Ok);
       }
     } else {
       for (const vir::VProgram &P : Programs) {
         sim::ReferenceImage Ref(L, P.getVectorLen(), 7);
-        sim::CheckOptions CO;
-        CO.TrackChunkLoads = true;
-        CO.UseReferenceEngine = true;
-        sim::CheckResult C = sim::checkSimdization(L, P, Ref, nullptr, CO);
-        benchmark::DoNotOptimize(C.Ok);
+        benchmark::DoNotOptimize(vir::verifyProgram(P));
+        sim::Memory M = Ref.getInitial();
+        benchmark::DoNotOptimize(sim::runProgram(P, Ref.getLayout(), M));
+        benchmark::DoNotOptimize(M == Ref.getExpected());
       }
     }
     Checked += Programs.size();
@@ -268,7 +267,7 @@ BENCHMARK(BM_CheckThroughputFast);
 /// timed region, as a fuzz sweep amortizes it across seeds too.
 void BM_CheckThroughputNative(benchmark::State &State) {
   ir::Loop L = synth::synthesizeLoop(benchLoopParams());
-  sim::OracleCache Oracle(L, 7);
+  sim::ReferenceImage Ref(L, 16, 7);
   std::vector<vir::VProgram> Programs;
   for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L)) {
     pipeline::CompileResult R = pipeline::runPipeline(L, C);
@@ -278,7 +277,7 @@ void BM_CheckThroughputNative(benchmark::State &State) {
   }
   native::NativeBatch Batch(native::bestISAForWidth(16));
   for (const vir::VProgram &P : Programs)
-    Batch.add(L, P, Oracle.get(P.getVectorLen()).getLayout());
+    Batch.add(L, P, Ref.getLayout());
   std::string Err;
   if (!Batch.compile(&Err)) {
     State.SkipWithError(("native compile failed: " + Err).c_str());
@@ -288,7 +287,6 @@ void BM_CheckThroughputNative(benchmark::State &State) {
   uint64_t Checked = 0;
   for (auto _ : State) {
     for (size_t I = 0; I < Programs.size(); ++I) {
-      const sim::ReferenceImage &Ref = Oracle.get(Programs[I].getVectorLen());
       sim::Memory M = Ref.getInitial();
       native::runNativeOnMemory(Batch.kernel(I), M);
       benchmark::DoNotOptimize(M == Ref.getExpected());

@@ -69,7 +69,7 @@ std::vector<FuzzConfig> fuzz::configsForLoop(const ir::Loop &L,
 RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
                                 uint64_t CheckSeed,
                                 const ProgramMutator &Mutator,
-                                sim::OracleCache *Oracle, bool Oracles,
+                                const sim::ReferenceImage *Ref, bool Oracles,
                                 bool NativeDiff) {
   // The raw-program window of the facade: mutations hit the program
   // before the property oracles and the optimizer — an injected bug can
@@ -138,18 +138,18 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
   unsigned VectorLen = P.Simd.Program->getVectorLen();
   // Chunk counts are collected only when the never-load-twice oracle will
   // consume them.
-  sim::CheckOptions CO;
-  CO.TrackChunkLoads = Oracles && C.exploitsReuse();
-  // Bulk callers share the scalar reference run across configurations and
-  // widths; the shrinker, with no shared oracle, builds its own image.
+  sim::ExecOptions EO;
+  EO.TrackChunkLoads = Oracles && C.exploitsReuse();
+  // Bulk callers share the scalar reference run across configurations;
+  // the shrinker, with no shared image, builds its own.
   std::optional<sim::ReferenceImage> Own;
-  const sim::ReferenceImage &Ref =
-      Oracle ? Oracle->get(VectorLen) : Own.emplace(L, VectorLen, CheckSeed);
+  if (!Ref)
+    Ref = &Own.emplace(L, VectorLen, CheckSeed);
   // The native axis rides on the result's tier: checkCompiled then runs
   // the dlopen'd kernel against the image the VM was verified against.
   if (NativeDiff)
     P.Tier = pipeline::ExecTier::Native;
-  sim::CheckResult Check = pipeline::checkCompiled(L, P, Ref, "", CO);
+  sim::CheckResult Check = pipeline::checkCompiled(L, P, *Ref, "", EO);
   if (!Check.Ok)
     return Tagged(RunStatus::Failed, Check.Message,
                   Check.VerifierFailed ? oracle::FailureKind::Verifier
@@ -286,7 +286,7 @@ std::string renderRunRecord(uint64_t Seed, const FuzzConfig &C,
 /// Runs every applicable configuration at every width of the sweep for one
 /// seed. Pure in the seed (and the mutator): resynthesizes the loop from
 /// paramsForSeed at the widest width — so all widths exercise the *same*
-/// loop — and shares one OracleCache (keyed by width) across every run.
+/// loop — and checks every run at a width against one ReferenceImage.
 static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
                               const std::vector<unsigned> &Widths,
                               unsigned MaxWidth) {
@@ -294,11 +294,11 @@ static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
   ir::Loop L = synth::synthesizeLoop(
       paramsForSeed(Seed, MaxWidth, Opts.Guards, Opts.Reductions));
   uint64_t CheckSeed = Seed ^ 0xc0ffee;
-  sim::OracleCache Oracle(L, CheckSeed);
 
   for (unsigned W : Widths) {
+    sim::ReferenceImage Ref(L, W, CheckSeed);
     for (const FuzzConfig &C : configsForLoop(L, W, Opts.PolicyFilter)) {
-      RunResult R = runConfigOnLoop(L, C, CheckSeed, Opts.Mutator, &Oracle,
+      RunResult R = runConfigOnLoop(L, C, CheckSeed, Opts.Mutator, &Ref,
                                     Opts.Oracles, Opts.NativeDiff);
       if (Opts.MetricsOut) {
         Out.Metrics.push_back(renderRunRecord(Seed, C, R));

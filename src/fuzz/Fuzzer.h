@@ -40,9 +40,6 @@ class Loop;
 namespace vir {
 class VProgram;
 } // namespace vir
-namespace sim {
-class OracleCache;
-} // namespace sim
 
 namespace fuzz {
 
@@ -98,19 +95,20 @@ using ProgramMutator = std::function<void(vir::VProgram &)>;
 
 /// Runs one configuration end to end (simdize, mutate, property-check,
 /// optimize, simulate, check) and classifies the outcome. Deterministic
-/// in (\p L, \p C, \p CheckSeed). When \p Oracle is given it must be
-/// built from (\p L, \p CheckSeed); the scalar reference run and memory
-/// image are then shared across every configuration checked through it
-/// instead of being recomputed per call. \p Oracles enables the property
-/// oracles (never-load-twice, shift counts, OPD bound, VVerifier on the
-/// mutated program) on top of the bit-equality check.
+/// in (\p L, \p C, \p CheckSeed). When \p Ref is given it must be built
+/// from (\p L, the config's width, \p CheckSeed); the scalar reference run
+/// and memory image are then shared across every configuration checked
+/// against it instead of being recomputed per call. nullptr builds a
+/// private image. \p Oracles enables the property oracles
+/// (never-load-twice, shift counts, OPD bound, VVerifier on the mutated
+/// program) on top of the bit-equality check.
 /// \p NativeDiff additionally compiles every checked program to host
 /// intrinsics (native backend, best host ISA), runs the dlopen'd kernel,
 /// and requires the full memory image to match the scalar expected image.
 RunResult runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
                           uint64_t CheckSeed,
                           const ProgramMutator &Mutator = {},
-                          sim::OracleCache *Oracle = nullptr,
+                          const sim::ReferenceImage *Ref = nullptr,
                           bool Oracles = true, bool NativeDiff = false);
 
 /// The fuzzer's input distribution: derives the synthesizer parameters for

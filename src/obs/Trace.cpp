@@ -133,7 +133,7 @@ namespace {
 std::atomic<Tracer *> GlobalTracer{nullptr};
 } // namespace
 
-thread_local Tracer *obs::detail::ThreadTracer = nullptr;
+constinit thread_local Tracer *obs::detail::ThreadTracer = nullptr;
 
 void obs::installTracer(Tracer *T) {
   GlobalTracer.store(T, std::memory_order_release);

@@ -129,8 +129,11 @@ Tracer *activeTracer();
 
 namespace detail {
 /// The thread's context override; nullptr means "fall back to the global
-/// tracer". Managed exclusively by TraceContext.
-extern thread_local Tracer *ThreadTracer;
+/// tracer". Managed exclusively by TraceContext. constinit tells every
+/// includer that there is no dynamic initializer, so reads are direct
+/// instead of going through the thread-local init wrapper, which
+/// optimized UBSan builds report as a null-pointer load.
+extern constinit thread_local Tracer *ThreadTracer;
 } // namespace detail
 
 /// The tracer spans bind to on this thread: the innermost active

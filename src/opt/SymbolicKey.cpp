@@ -88,13 +88,8 @@ uint32_t BodyKeys::keyOfVReg(VRegId R, int64_t DeltaElems) {
 }
 
 uint32_t BodyKeys::keyOfInst(const VInst &I, int64_t DeltaElems) {
-  if (I.Predicate)
-    return 0; // Conditional values are not keyable.
-
   switch (I.Op) {
   case VOpcode::VLoad: {
-    if (!I.Addr.Index)
-      return 0;
     // Loads of stored arrays do not bar keying: checkSimdizable admits at
     // most one storing statement per array and no explicit loads of it, so
     // the only aliasing load is an if-converted statement's own old-value
@@ -103,8 +98,8 @@ uint32_t BodyKeys::keyOfInst(const VInst &I, int64_t DeltaElems) {
     // store between two same-chunk loads therefore targets a strictly
     // earlier chunk and cannot change the loaded value.
     //
-    // Body addresses are always counter-indexed; constant-index addresses
-    // belong to Setup/Epilogue code.
+    // The verifier holds body addresses to the loop counter, so C is the
+    // element offset from it.
     const ir::Array *A = I.Addr.Base;
     int64_t C = I.Addr.ElemOffset + DeltaElems;
     if (MemNorm && A->isAlignmentKnown()) {

@@ -50,10 +50,11 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
 
   Block &Body = P.getBody();
 
-  // Peel the trailing run of back-edge copies.
+  // Peel the trailing run of back-edge copies. The verifier's steady-body
+  // contract (vector-only, unpredicated, counter-indexed) is what lets the
+  // second instance below be a renamed copy advanced by B.
   size_t WorkEnd = Body.size();
-  while (WorkEnd > 0 && Body[WorkEnd - 1].Op == VOpcode::VCopy &&
-         !Body[WorkEnd - 1].Predicate)
+  while (WorkEnd > 0 && Body[WorkEnd - 1].Op == VOpcode::VCopy)
     --WorkEnd;
   if (WorkEnd == Body.size())
     return 0; // Nothing to remove.
@@ -62,15 +63,6 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
   for (size_t K = WorkEnd; K < Body.size(); ++K)
     Copies.emplace_back(Body[K].VDst, Body[K].VSrc1);
   Block Work(Body.begin(), Body.begin() + static_cast<long>(WorkEnd));
-
-  // The transformation requires a well-formed steady body: vector-only,
-  // unpredicated, counter-indexed addresses.
-  for (const VInst &I : Work) {
-    if (I.definesScalar() || I.Predicate)
-      return 0;
-    if ((I.Op == VOpcode::VLoad || I.Op == VOpcode::VStore) && !I.Addr.Index)
-      return 0;
-  }
 
   // Carried registers whose copy source is itself a carried register form
   // chains (predictive commoning produces them when one array is read at

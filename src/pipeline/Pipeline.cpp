@@ -136,7 +136,7 @@ sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
                                          const CompileResult &R,
                                          const sim::ReferenceImage &Ref,
                                          const std::string &SchemeName,
-                                         const sim::CheckOptions &Opts) {
+                                         const sim::ExecOptions &Opts) {
   const ir::Loop &Checked = R.compiledLoop(L);
   sim::CheckContext Ctx{SchemeName.empty() ? R.ConfigName : SchemeName};
   sim::CheckResult C =
@@ -158,7 +158,7 @@ sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
                                          const CompileResult &R,
                                          uint64_t CheckSeed,
                                          const std::string &SchemeName,
-                                         const sim::CheckOptions &Opts) {
+                                         const sim::ExecOptions &Opts) {
   sim::ReferenceImage Ref(R.compiledLoop(L), R.Simd.Program->getVectorLen(),
                           CheckSeed);
   return checkCompiled(L, R, Ref, SchemeName, Opts);

@@ -203,13 +203,13 @@ CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req,
 sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
                                const sim::ReferenceImage &Ref,
                                const std::string &SchemeName = "",
-                               const sim::CheckOptions &Opts = {});
+                               const sim::ExecOptions &Opts = {});
 
 /// As above, over a fresh image patterned from \p CheckSeed.
 sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
                                uint64_t CheckSeed,
                                const std::string &SchemeName = "",
-                               const sim::CheckOptions &Opts = {});
+                               const sim::ExecOptions &Opts = {});
 
 } // namespace pipeline
 } // namespace simdize

@@ -9,7 +9,6 @@
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
 #include "obs/Trace.h"
-#include "sim/Decoder.h"
 #include "sim/ScalarInterp.h"
 #include "support/Format.h"
 #include "vir/VVerifier.h"
@@ -119,7 +118,7 @@ static std::string mismatchMessage(const ir::Loop &L,
 CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
                                   const ReferenceImage &Ref,
                                   const CheckContext *Ctx,
-                                  const CheckOptions &Opts) {
+                                  const ExecOptions &Opts) {
   CheckResult Result;
   obs::Span CheckSp("check", "sim");
   std::string Under =
@@ -136,23 +135,15 @@ CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
   assert(Ref.getVectorLen() == P.getVectorLen() &&
          "reference image built for a different vector length");
 
+  std::optional<DecodedProgram> DP;
+  {
+    obs::Span Sp("decode", "sim");
+    DP.emplace(P, Ref.getLayout());
+  }
   Memory Actual = Ref.getInitial();
-  if (Opts.UseReferenceEngine) {
+  {
     obs::Span Sp("execute", "sim");
-    Sp.argStr("engine", "reference");
-    Result.Stats = runProgram(P, Ref.getLayout(), Actual);
-  } else {
-    std::optional<DecodedProgram> DP;
-    {
-      obs::Span Sp("decode", "sim");
-      DP.emplace(P, Ref.getLayout());
-    }
-    obs::Span Sp("execute", "sim");
-    Sp.argStr("engine", "decoded");
-    ExecOptions EO;
-    EO.TrackChunkLoads = Opts.TrackChunkLoads;
-    EO.TrackPCCounts = Opts.TrackPCCounts;
-    Result.Stats = runDecoded(*DP, Actual, EO);
+    Result.Stats = runDecoded(*DP, Actual, Opts);
   }
 
   {
@@ -171,7 +162,7 @@ CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
 CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
                                   uint64_t Seed, const CheckContext *Ctx) {
   ReferenceImage Ref(L, P.getVectorLen(), Seed);
-  CheckOptions Opts;
+  ExecOptions Opts;
   Opts.TrackChunkLoads = true;
   return checkSimdization(L, P, Ref, Ctx, Opts);
 }

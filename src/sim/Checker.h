@@ -13,15 +13,22 @@
 ///
 /// The scalar side of the check — layout, patterned image, reference run —
 /// depends only on (loop, seed, vector length), not on the program under
-/// test. ReferenceImage captures it once; OracleCache shares it across the
-/// ~24 configurations the fuzzer checks per seed, so the scalar interpreter
-/// and the pattern fill run once per seed instead of once per config.
+/// test. ReferenceImage captures it once: the fuzzer builds one per (seed,
+/// width) and checks every configuration against it, so the scalar
+/// interpreter and the pattern fill run once per width instead of once
+/// per config; ReferenceImageCache shares images across the compile
+/// server's requests.
+///
+/// The program side always runs on the decoded engine (Decoder.h). The
+/// reference interpreter (Machine.h) is not selectable here; the
+/// differential tests call it directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDIZE_SIM_CHECKER_H
 #define SIMDIZE_SIM_CHECKER_H
 
+#include "sim/Decoder.h"
 #include "sim/Machine.h"
 #include "sim/Memory.h"
 
@@ -56,22 +63,6 @@ struct CheckContext {
   std::string Scheme; ///< e.g. "LAZY-sp" or "DOM opt=off".
 };
 
-/// Per-check switches.
-struct CheckOptions {
-  /// Maintain the per-chunk load and store counts in the returned
-  /// ExecStats (what the never-load-twice oracle, NeverLoadTwiceTest and
-  /// the heatmap inspect). Costs a counter per chunk of memory and an
-  /// increment per dynamic access; bulk throughput paths leave it off.
-  bool TrackChunkLoads = false;
-  /// Maintain per-VInst-PC execution counts (ExecStats::PCCounts) with
-  /// setup/body/epilogue attribution. The reference engine maintains them
-  /// regardless.
-  bool TrackPCCounts = false;
-  /// Execute on the byte-at-a-time reference interpreter instead of the
-  /// decoded engine — for differential testing of the engines themselves.
-  bool UseReferenceEngine = false;
-};
-
 /// The program-independent half of one verification: the memory layout,
 /// the patterned initial image, and the scalar interpreter's output for a
 /// given (loop, vector length, seed). Computing it dominates the cost of
@@ -94,16 +85,15 @@ private:
   uint64_t Seed;
 };
 
-/// Thread-safe, content-addressed generalization of the per-(loop, seed)
-/// OracleCache: ReferenceImages shared across loops, seeds, and widths,
-/// keyed by (LoopKey, VectorLen, Seed), where LoopKey is the loop's exact
-/// text (ir::printParseable; empty is fine when the caller owns a single
-/// loop). Layouts are indexed by array declaration order, so an image
-/// built from one parse serves every parse of the same text. Entries are
-/// handed out as shared_ptr so LRU eviction never invalidates a
-/// borrower; MaxEntries of 0 means unbounded. The compile server shares
-/// one across requests so millions of check requests re-verify a small
-/// working set of loops without rebuilding the scalar oracle each time.
+/// Thread-safe, content-addressed store of ReferenceImages shared across
+/// loops, seeds, and widths, keyed by (LoopKey, VectorLen, Seed), where
+/// LoopKey is the loop's exact text (ir::printParseable). Layouts are
+/// indexed by array declaration order, so an image built from one parse
+/// serves every parse of the same text. Entries are handed out as
+/// shared_ptr so LRU eviction never invalidates a borrower; MaxEntries of
+/// 0 means unbounded. The compile server shares one across requests so
+/// millions of check requests re-verify a small working set of loops
+/// without rebuilding the scalar oracle each time.
 class ReferenceImageCache {
 public:
   struct Stats {
@@ -138,35 +128,16 @@ private:
   Stats St;
 };
 
-/// Lazily-built ReferenceImages for one (loop, seed), keyed by vector
-/// length (all fuzzer configs use V = 16, so this normally holds a single
-/// entry). A thin veneer over an unbounded ReferenceImageCache, so
-/// references returned by get() stay valid for the cache lifetime.
-class OracleCache {
-public:
-  OracleCache(const ir::Loop &L, uint64_t Seed)
-      : L(L), Seed(Seed), Cache(/*MaxEntries=*/0) {}
-
-  const ReferenceImage &get(unsigned VectorLen) {
-    return *Cache.get(/*LoopKey=*/"", L, VectorLen, Seed);
-  }
-
-private:
-  const ir::Loop &L;
-  uint64_t Seed;
-  ReferenceImageCache Cache;
-};
-
 /// Verifies that \p P computes exactly what the loop behind \p Ref
-/// computes: runs \p P (on the decoded engine unless \p Opts says
-/// otherwise) over a copy of the initial image and compares bit-for-bit
-/// against the precomputed scalar result. \p L is used only to attribute a
-/// mismatching byte to an array element and its owning statement; it must
-/// be the loop \p Ref was built from.
+/// computes: runs \p P on the decoded engine under \p Opts over a copy of
+/// the initial image and compares bit-for-bit against the precomputed
+/// scalar result. \p L is used only to attribute a mismatching byte to an
+/// array element and its owning statement; it must be the loop \p Ref was
+/// built from.
 CheckResult checkSimdization(const ir::Loop &L, const vir::VProgram &P,
                              const ReferenceImage &Ref,
                              const CheckContext *Ctx = nullptr,
-                             const CheckOptions &Opts = {});
+                             const ExecOptions &Opts = {});
 
 /// Convenience overload that builds the ReferenceImage in place from a
 /// pseudo-random memory image derived from \p Seed. Chunk-load tracking is

@@ -162,6 +162,32 @@ BinOpKernel selectCmpKernel(vir::SCmpKind Kind, unsigned ElemSize) {
   simdize_unreachable("unsupported lane width");
 }
 
+/// Charges one executed instruction of category \p Cat to its bucket of
+/// \p C: per instruction in setup and epilogue, once per instruction at
+/// decode time for the steady body.
+void charge(OpCounts &C, OpCategory Cat) {
+  switch (Cat) {
+  case OpCategory::Load:
+    ++C.Loads;
+    break;
+  case OpCategory::Store:
+    ++C.Stores;
+    break;
+  case OpCategory::Reorg:
+    ++C.Reorg;
+    break;
+  case OpCategory::Compute:
+    ++C.Compute;
+    break;
+  case OpCategory::Copy:
+    ++C.Copies;
+    break;
+  case OpCategory::Scalar:
+    ++C.Scalar;
+    break;
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -290,31 +316,9 @@ DInst DecodedProgram::decodeInst(const VInst &I, const MemoryLayout &Layout) {
 
 void DecodedProgram::decodeBlock(const Block &B, const MemoryLayout &Layout,
                                  DBlock &Out) {
-  Out.Insts.reserve(B.size());
-  for (const VInst &I : B) {
-    Out.Insts.push_back(decodeInst(I, Layout));
-    Out.HasPredicated |= Out.Insts.back().Pred >= 0;
-    switch (Out.Insts.back().Category) {
-    case OpCategory::Load:
-      ++Out.StaticCounts.Loads;
-      break;
-    case OpCategory::Store:
-      ++Out.StaticCounts.Stores;
-      break;
-    case OpCategory::Reorg:
-      ++Out.StaticCounts.Reorg;
-      break;
-    case OpCategory::Compute:
-      ++Out.StaticCounts.Compute;
-      break;
-    case OpCategory::Copy:
-      ++Out.StaticCounts.Copies;
-      break;
-    case OpCategory::Scalar:
-      ++Out.StaticCounts.Scalar;
-      break;
-    }
-  }
+  Out.reserve(B.size());
+  for (const VInst &I : B)
+    Out.push_back(decodeInst(I, Layout));
 }
 
 DecodedProgram::DecodedProgram(const VProgram &P, const MemoryLayout &Layout)
@@ -335,6 +339,8 @@ DecodedProgram::DecodedProgram(const VProgram &P, const MemoryLayout &Layout)
   decodeBlock(P.getSetup(), Layout, Setup);
   decodeBlock(P.getBody(), Layout, Body);
   decodeBlock(P.getEpilogue(), Layout, Epilogue);
+  for (const DInst &D : Body)
+    charge(BodyCounts, D.Category);
 
   LBSlot = slotOf(P.getLowerBound());
   UBSlot = slotOf(P.getUpperBound());
@@ -348,8 +354,8 @@ namespace simdize {
 namespace sim {
 
 /// One run of a decoded program. Count selects per-instruction accounting
-/// (needed for predicated blocks and the one-shot setup/epilogue); Track
-/// selects the per-chunk load and store counts. Both are template
+/// (the one-shot setup and epilogue, where predicated instructions live);
+/// Track selects the per-chunk load and store counts. Both are template
 /// parameters so the steady-state fast path carries neither.
 class DecodedRunner {
 public:
@@ -369,95 +375,45 @@ public:
     for (auto [Slot, Value] : DP.InitialBindings)
       SRegs[Slot] = Value;
 
-    if (Opts.TrackPCCounts) {
-      Stats.PCCounts.Setup.assign(DP.Setup.Insts.size(), 0);
-      Stats.PCCounts.Body.assign(DP.Body.Insts.size(), 0);
-      Stats.PCCounts.Epilogue.assign(DP.Epilogue.Insts.size(), 0);
-      if (Opts.TrackChunkLoads)
-        runBlocks<true, true>();
-      else
-        runBlocks<false, true>();
-    } else if (Opts.TrackChunkLoads) {
-      runBlocks<true, false>();
-    } else {
-      runBlocks<false, false>();
-    }
+    if (Opts.TrackChunkLoads)
+      runBlocks<true>();
+    else
+      runBlocks<false>();
     return std::move(Stats);
   }
 
 private:
-  template <bool Track, bool Prof> void runBlocks() {
-    // Setup and epilogue run once: per-instruction accounting is free
-    // there, and they are where predicated instructions live.
-    execBlock<true, Track, Prof>(DP.Setup, Stats.PCCounts.Setup.data());
+  template <bool Track> void runBlocks() {
+    execBlock<true, Track>(DP.Setup);
 
     int64_t I = SRegs[DP.LBSlot];
     const int64_t UB = SRegs[DP.UBSlot];
     const int64_t Step = DP.LoopStep;
     int64_t Iters = 0;
-    if (DP.Body.HasPredicated) {
-      for (; I < UB; I += Step) {
-        SRegs[DP.IndexSlot] = I;
-        execBlock<true, Track, Prof>(DP.Body, Stats.PCCounts.Body.data());
-        ++Iters;
-      }
-    } else {
-      // Fast path: accounting batched — one multiply below replaces two
-      // counter updates per executed instruction. Profiling stays batched
-      // too: with no predication every body instruction executes exactly
-      // once per iteration, so its count is simply Iters (filled below).
-      for (; I < UB; I += Step) {
-        SRegs[DP.IndexSlot] = I;
-        execBlock<false, Track, false>(DP.Body, nullptr);
-        ++Iters;
-      }
-      Stats.Counts.addScaled(DP.Body.StaticCounts, Iters);
-      if constexpr (Prof)
-        for (int64_t &Count : Stats.PCCounts.Body)
-          Count = Iters;
+    // Accounting batched: the verified body is unpredicated, so one
+    // multiply below replaces two counter updates per executed
+    // instruction.
+    for (; I < UB; I += Step) {
+      SRegs[DP.IndexSlot] = I;
+      execBlock<false, Track>(DP.Body);
+      ++Iters;
     }
+    Stats.Counts.addScaled(DP.BodyCounts, Iters);
     Stats.SteadyIterations = Iters;
     Stats.Counts.LoopCtl += 2 * Iters; // Counter update + branch.
 
     // The epilogue sees the first unexecuted counter value.
     SRegs[DP.IndexSlot] = I;
-    execBlock<true, Track, Prof>(DP.Epilogue, Stats.PCCounts.Epilogue.data());
+    execBlock<true, Track>(DP.Epilogue);
   }
 
-  void charge(const DInst &I) {
-    switch (I.Category) {
-    case OpCategory::Load:
-      ++Stats.Counts.Loads;
-      break;
-    case OpCategory::Store:
-      ++Stats.Counts.Stores;
-      break;
-    case OpCategory::Reorg:
-      ++Stats.Counts.Reorg;
-      break;
-    case OpCategory::Compute:
-      ++Stats.Counts.Compute;
-      break;
-    case OpCategory::Copy:
-      ++Stats.Counts.Copies;
-      break;
-    case OpCategory::Scalar:
-      ++Stats.Counts.Scalar;
-      break;
-    }
-  }
-
-  template <bool Count, bool Track, bool Prof>
-  void execBlock(const DBlock &B, int64_t *Prof_) {
+  template <bool Count, bool Track> void execBlock(const DBlock &B) {
     const int64_t V = DP.VectorLen;
-    for (size_t Pc = 0, N = B.Insts.size(); Pc < N; ++Pc) {
-      const DInst &I = B.Insts[Pc];
+    for (const DInst &I : B) {
       if (I.Pred >= 0 && SRegs[static_cast<uint32_t>(I.Pred)] == 0)
         continue;
       if constexpr (Count)
-        charge(I);
-      if constexpr (Prof)
-        ++Prof_[Pc];
+        charge(Stats.Counts, I.Category);
 
       switch (I.Kind) {
       case DKind::Load: {

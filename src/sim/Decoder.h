@@ -18,16 +18,19 @@
 ///  * VBinOp dispatches through a kernel pointer specialized per
 ///    (BinOpKind, ElemSize) that operates on typed lanes instead of
 ///    assembling lanes byte-by-byte;
-///  * per-block static OpCounts are computed once at decode time; the
+///  * the steady body's OpCounts are computed once at decode time; the
 ///    steady state multiplies them by the iteration count instead of
-///    bumping a counter per executed instruction.
+///    bumping a counter per executed instruction. vir::verifyProgram keeps
+///    the body unpredicated, so every body instruction executes exactly
+///    once per iteration.
 ///
-/// Blocks containing predicated instructions fall back to per-instruction
-/// accounting (their dynamic counts depend on register values), and exact
-/// per-chunk load and store counts (ExecStats::ChunkLoads/ChunkStores) are
-/// maintained only when ExecOptions::TrackChunkLoads asks for it — the
-/// never-load-twice oracle and the tests that assert it do; the fuzzer's
-/// configurations without reuse do not.
+/// Setup and epilogue run once and hold every predicated instruction, so
+/// they are charged instruction by instruction. Exact per-chunk load and
+/// store counts (ExecStats::ChunkLoads/ChunkStores) are maintained only
+/// when ExecOptions::TrackChunkLoads asks for it — the never-load-twice
+/// oracle and the tests that assert it do; the fuzzer's configurations
+/// without reuse do not. Tracking adds the chunk-counter increments and
+/// nothing else: op counts stay batched.
 ///
 /// The byte-at-a-time interpreter in Machine.{h,cpp} stays as the reference
 /// implementation; tests/EngineEquivalenceTest.cpp differentially checks
@@ -93,29 +96,20 @@ struct DInst {
   vir::SCmpKind CmpOp = vir::SCmpKind::EQ;
 };
 
-/// A decoded straight-line block with its decode-time accounting.
-struct DBlock {
-  std::vector<DInst> Insts;
-  /// Sum of every instruction's category, valid as a dynamic count only
-  /// when !HasPredicated (a skipped predicated instruction is not charged).
-  OpCounts StaticCounts;
-  bool HasPredicated = false;
-};
+/// A decoded straight-line block.
+using DBlock = std::vector<DInst>;
 
 } // namespace detail
 
-/// Per-run switches of the decoded engine.
+/// Per-run switches of the decoded engine, and of sim::checkSimdization,
+/// which forwards them.
 struct ExecOptions {
   /// Maintain the per-chunk load and store counts of the reference
-  /// interpreter (ExecStats::ChunkLoads/ChunkStores). Off by default: it
-  /// costs a counter update per dynamic access and a counter per chunk of
-  /// memory.
+  /// interpreter (ExecStats::ChunkLoads/ChunkStores) — what the
+  /// never-load-twice oracle, NeverLoadTwiceTest and the heatmap inspect.
+  /// Off by default: it costs a counter update per dynamic access and a
+  /// counter per chunk of memory.
   bool TrackChunkLoads = false;
-  /// Maintain ExecStats::PCCounts (per-instruction execution counts with
-  /// setup/body/epilogue attribution). The steady state stays batched —
-  /// an unpredicated body instruction executes exactly once per
-  /// iteration, so its count is the iteration count.
-  bool TrackPCCounts = false;
 };
 
 /// A vir::VProgram decoded against one MemoryLayout. Immutable once built;
@@ -130,15 +124,8 @@ public:
 
   /// Total decoded instructions across all three blocks.
   size_t getNumInsts() const {
-    return Setup.Insts.size() + Body.Insts.size() + Epilogue.Insts.size();
+    return Setup.size() + Body.size() + Epilogue.size();
   }
-
-  /// Static per-iteration operation counts of the steady body (decode-time
-  /// accounting; what the fast path multiplies by the iteration count).
-  const OpCounts &getBodyStaticCounts() const { return Body.StaticCounts; }
-
-  /// True when the steady body needs per-instruction accounting.
-  bool bodyHasPredicated() const { return Body.HasPredicated; }
 
 private:
   friend class DecodedRunner;
@@ -168,6 +155,10 @@ private:
   detail::DBlock Setup;
   detail::DBlock Body;
   detail::DBlock Epilogue;
+  /// The steady body's op counts per iteration: the verifier keeps the
+  /// body unpredicated, so each of its instructions runs once per
+  /// iteration.
+  OpCounts BodyCounts;
 };
 
 /// Executes \p DP over \p Mem and returns statistics identical to what

@@ -71,40 +71,35 @@ public:
     for (auto [Reg, Value] : P.getScalarParams())
       SRegs[Reg.Id] = Value;
 
-    // The reference engine always maintains the full per-PC profile; it
-    // is the implementation the decoded engine's optional tracking is
-    // differentially tested against.
-    Stats.PCCounts.Setup.assign(P.getSetup().size(), 0);
-    Stats.PCCounts.Body.assign(P.getBody().size(), 0);
-    Stats.PCCounts.Epilogue.assign(P.getEpilogue().size(), 0);
-    // Likewise the per-chunk load and store counts.
+    // The reference engine always maintains the per-chunk load and store
+    // counts; the decoded engine's optional tracking is differentially
+    // tested against them.
     const size_t Chunks = static_cast<size_t>(Mem.size() / P.getVectorLen());
     Stats.ChunkLoads.assign(Chunks, 0);
     Stats.ChunkStores.assign(Chunks, 0);
 
-    execBlock(P.getSetup(), Stats.PCCounts.Setup);
+    execBlock(P.getSetup());
 
     int64_t I = evalOperand(P.getLowerBound());
     int64_t UB = evalOperand(P.getUpperBound());
     int64_t Step = P.getLoopStep();
     for (; I < UB; I += Step) {
       SRegs[P.getIndexReg().Id] = I;
-      execBlock(P.getBody(), Stats.PCCounts.Body);
+      execBlock(P.getBody());
       Stats.Counts.LoopCtl += 2; // Counter update + branch.
       ++Stats.SteadyIterations;
     }
     // The epilogue sees the first unexecuted counter value.
     SRegs[P.getIndexReg().Id] = I;
 
-    execBlock(P.getEpilogue(), Stats.PCCounts.Epilogue);
+    execBlock(P.getEpilogue());
     return std::move(Stats);
   }
 
 private:
-  void execBlock(const Block &B, std::vector<int64_t> &Prof) {
-    for (size_t Pc = 0; Pc < B.size(); ++Pc)
-      if (execInst(B[Pc]))
-        ++Prof[Pc];
+  void execBlock(const Block &B) {
+    for (const VInst &I : B)
+      execInst(I);
   }
 
   int64_t evalOperand(const ScalarOperand &Op) const {
@@ -119,10 +114,9 @@ private:
                static_cast<int64_t>(A.Base->getElemSize());
   }
 
-  /// \returns true when the instruction actually executed (predicate on).
-  bool execInst(const VInst &I) {
+  void execInst(const VInst &I) {
     if (I.Predicate && SRegs[I.Predicate->Id] == 0)
-      return false;
+      return;
 
     // Charge the instruction to its bucket.
     switch (I.category()) {
@@ -356,7 +350,6 @@ private:
       break;
     }
     }
-    return true;
   }
 
   const VProgram &P;

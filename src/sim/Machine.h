@@ -12,6 +12,12 @@
 /// Memory image and counts every dynamic operation, categorized, to produce
 /// the paper's operations-per-datum metric.
 ///
+/// runProgram is the byte-at-a-time reference implementation of that
+/// machine. Every check runs on the decoded engine (Decoder.h) instead;
+/// the differential tests (tests/EngineEquivalenceTest.cpp) call
+/// runProgram directly and require the same memory, op counts, iteration
+/// count and chunk counts from both.
+///
 /// Overhead model (documented in DESIGN.md): vector memory operations use
 /// register+register addressing (base materialization is a one-time Setup
 /// cost), the steady loop costs 2 scalar operations per iteration
@@ -78,20 +84,6 @@ struct OpCounts {
   }
 };
 
-/// Per-instruction execution counts, attributed to the program section the
-/// instruction lives in — the steady-vs-prologue/epilogue attribution the
-/// observability layer reports. Index K counts how many times instruction
-/// K of that block executed (predicated-off instructions are not counted).
-struct PCProfile {
-  std::vector<int64_t> Setup;
-  std::vector<int64_t> Body;
-  std::vector<int64_t> Epilogue;
-
-  bool enabled() const {
-    return !Setup.empty() || !Body.empty() || !Epilogue.empty();
-  }
-};
-
 /// Execution statistics beyond raw op counts.
 struct ExecStats {
   OpCounts Counts;
@@ -103,10 +95,6 @@ struct ExecStats {
   /// Dynamic stores per aligned chunk, indexed the same way; with
   /// ChunkLoads this forms the per-chunk access heatmap.
   std::vector<int64_t> ChunkStores;
-  /// Per-VInst-PC execution counts; populated by the reference
-  /// interpreter always and by the decoded engine under
-  /// ExecOptions::TrackPCCounts.
-  PCProfile PCCounts;
 };
 
 /// Executes \p P over \p Mem and returns the statistics.

@@ -56,9 +56,13 @@ public:
 
     for (BlockKind Kind :
          {BlockKind::Setup, BlockKind::Body, BlockKind::Epilogue})
-      for (const VInst &I : P.getBlock(Kind))
-        if (auto Err = checkInst(I))
+      for (const VInst &I : P.getBlock(Kind)) {
+        std::optional<std::string> Err = checkInst(I);
+        if (!Err && Kind == BlockKind::Body)
+          Err = checkSteady(I);
+        if (Err)
           return strf("%s: in '%s'", Err->c_str(), printInst(I).c_str());
+      }
     return std::nullopt;
   }
 
@@ -216,6 +220,23 @@ private:
         return std::string("instruction clobbers the loop counter");
       SDefined[I.SDst.Id] = true;
     }
+    return std::nullopt;
+  }
+
+  /// The steady-body contract of the paper's code generation (Section
+  /// 4.4): conditional and partial work lives in the prologue and the
+  /// epilogue, so the body is unpredicated, defines no scalar, and reaches
+  /// memory only through the loop counter. The optimizer and the decoded
+  /// engine rely on it.
+  std::optional<std::string> checkSteady(const VInst &I) {
+    if (I.Predicate)
+      return std::string("predicated instruction in the steady body");
+    if (I.definesScalar())
+      return std::string("scalar definition in the steady body");
+    if ((I.Op == VOpcode::VLoad || I.Op == VOpcode::VStore) &&
+        I.Addr.Index != P.getIndexReg())
+      return std::string(
+          "steady-body access not indexed by the loop counter");
     return std::nullopt;
   }
 

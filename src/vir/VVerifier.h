@@ -8,9 +8,11 @@
 /// Validates a VProgram before execution: registers in range and defined
 /// before use (accounting for loop-carried values initialized in Setup),
 /// immediate shift amounts within [0, V), splice points within [0, V],
-/// consistent lane widths, and an unclobbered loop counter. Every simdized
-/// program in the test suite and every synthesized benchmark goes through
-/// this before it is simulated.
+/// consistent lane widths, an unclobbered loop counter, and the steady-body
+/// contract: no predicated instruction, no scalar definition, and every
+/// vload/vstore indexed by the loop counter. Every simdized program in the
+/// test suite and every synthesized benchmark goes through this before it
+/// is simulated.
 ///
 //===----------------------------------------------------------------------===//
 

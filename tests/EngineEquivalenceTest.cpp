@@ -6,29 +6,30 @@
 ///
 /// \file
 /// Differential gate for the pre-decoded execution engine: over the
-/// committed corpus and a band of synthesized loops, every applicable
-/// pipeline configuration must execute identically on the byte-at-a-time
-/// reference interpreter and on runDecoded — final memory, OpCounts,
-/// SteadyIterations, and the per-chunk load and store counts all
-/// bit-for-bit. The decoded engine carries every correctness check in this
-/// repository, so its equivalence to the reference is itself a tier-1
-/// property.
+/// committed corpus and a band of synthesized loops with guards and
+/// reductions, every applicable configuration at V = 16, 32 and 64 is
+/// compiled through pipeline::runPipeline and run on the byte-at-a-time
+/// reference interpreter (sim::runProgram) and on sim::runDecoded. Final
+/// memory, OpCounts, SteadyIterations, and the per-chunk load and store
+/// counts must agree bit for bit. The reference run must reproduce the
+/// scalar oracle's image, and checkSimdization, the decoded check that
+/// the fuzzer and every other test go through, must accept the program.
+/// The decoded engine carries every correctness check in this repository,
+/// so its equivalence to the reference is itself a tier-1 property.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/Simdizer.h"
 #include "fuzz/CorpusIO.h"
 #include "fuzz/Fuzzer.h"
 #include "ir/Loop.h"
-#include "opt/Pipeline.h"
 #include "parser/LoopParser.h"
+#include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
 #include "sim/Decoder.h"
 #include "vir/VProgram.h"
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,30 +37,14 @@ using namespace simdize;
 
 namespace {
 
-/// Simdizes + optimizes \p L under \p C; nullopt when the pipeline
-/// declines the loop (validity guard, policy gate).
-std::optional<vir::VProgram> buildProgram(const ir::Loop &L,
-                                          const fuzz::FuzzConfig &C) {
-  codegen::SimdizeOptions Opts;
-  Opts.Policy = C.Simd.Policy;
-  Opts.SoftwarePipelining = C.Simd.SoftwarePipelining;
-  codegen::SimdizeResult R = codegen::simdize(L, Opts);
-  if (!R.ok())
-    return std::nullopt;
-  if (C.Opt != fuzz::OptLevel::Raw) {
-    opt::OptConfig Config;
-    Config.PC = C.Opt == fuzz::OptLevel::PC;
-    opt::runOptPipeline(*R.Program, Config);
-  }
-  return std::move(*R.Program);
-}
+constexpr unsigned Widths[] = {16, 32, 64};
 
-/// Runs \p P on both engines over the same initial image and demands
-/// identical memory, op counts, iteration counts, and chunk counts.
+/// Runs \p P on both engines over \p Ref's initial image and demands
+/// identical memory, op counts, iteration counts, and chunk counts; the
+/// reference run must reproduce the scalar oracle, and the checker must
+/// accept the program.
 void expectEnginesAgree(const ir::Loop &L, const vir::VProgram &P,
-                        uint64_t Seed) {
-  sim::ReferenceImage Ref(L, P.getVectorLen(), Seed);
-
+                        const sim::ReferenceImage &Ref) {
   sim::Memory RefMem = Ref.getInitial();
   sim::ExecStats RefStats = sim::runProgram(P, Ref.getLayout(), RefMem);
 
@@ -82,17 +67,28 @@ void expectEnginesAgree(const ir::Loop &L, const vir::VProgram &P,
       << "per-chunk load counts differ";
   EXPECT_TRUE(RefStats.ChunkStores == DecStats.ChunkStores)
       << "per-chunk store counts differ";
+
+  EXPECT_TRUE(RefMem == Ref.getExpected())
+      << "reference engine disagrees with the scalar oracle";
+  sim::CheckResult Check = sim::checkSimdization(L, P, Ref);
+  EXPECT_TRUE(Check.Ok) << Check.Message;
 }
 
-/// Every applicable configuration of \p L, both engines, two seeds.
+/// Every applicable configuration of \p L at every width, both engines,
+/// two images.
 void expectEnginesAgreeOnLoop(const ir::Loop &L, uint64_t Seed) {
-  for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L)) {
-    SCOPED_TRACE(C.name());
-    std::optional<vir::VProgram> P = buildProgram(L, C);
-    if (!P)
-      continue;
-    expectEnginesAgree(L, *P, Seed);
-    expectEnginesAgree(L, *P, Seed ^ 0x5eedULL);
+  for (unsigned W : Widths) {
+    const sim::ReferenceImage Images[] = {{L, W, Seed},
+                                          {L, W, Seed ^ 0x5eedULL}};
+    for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+      SCOPED_TRACE(C.name());
+      pipeline::CompileResult R = pipeline::runPipeline(L, C);
+      if (!R.Simd.ok())
+        continue; // Declined by design (validity guard, policy gate).
+      ASSERT_FALSE(R.PostOptVerifyError) << *R.PostOptVerifyError;
+      for (const sim::ReferenceImage &Ref : Images)
+        expectEnginesAgree(R.compiledLoop(L), *R.Simd.Program, Ref);
+    }
   }
 }
 
@@ -103,40 +99,24 @@ TEST(EngineEquivalence, CommittedCorpus) {
     SCOPED_TRACE(Path);
     auto Text = fuzz::readCorpusFile(Path);
     ASSERT_TRUE(Text.has_value());
-    parser::ParseResult Parsed = parser::parseLoop(*Text);
+    // Parsed at the widest width (it only bounds `align` literals), so
+    // the narrower widths run the same loop.
+    parser::ParseResult Parsed = parser::parseLoop(*Text, 64);
     ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
     expectEnginesAgreeOnLoop(*Parsed.Loop, 2004);
   }
 }
 
 TEST(EngineEquivalence, SynthesizedLoops) {
-  // The fuzzer's own input distribution: degenerate trip counts are
-  // rejected before execution, so surviving configs stress prologue,
-  // steady state, epilogue, predication, and runtime alignment.
+  // The fuzzer's own input distribution with guarded statements and
+  // reductions: degenerate trip counts are rejected before execution, so
+  // surviving configs stress prologue, steady state, epilogue,
+  // predication, and runtime alignment.
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
-    ir::Loop L = synth::synthesizeLoop(fuzz::paramsForSeed(Seed));
+    ir::Loop L = synth::synthesizeLoop(
+        fuzz::paramsForSeed(Seed, 64, /*Guards=*/true, /*Reductions=*/true));
     expectEnginesAgreeOnLoop(L, Seed ^ 0xc0ffee);
-  }
-}
-
-TEST(EngineEquivalence, CheckerAgreesAcrossEngines) {
-  // The same program checked through checkSimdization must verify on both
-  // engines (this is the API the fuzzer and all tests go through).
-  ir::Loop L = synth::synthesizeLoop(fuzz::paramsForSeed(3));
-  for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L)) {
-    SCOPED_TRACE(C.name());
-    std::optional<vir::VProgram> P = buildProgram(L, C);
-    if (!P)
-      continue;
-    sim::ReferenceImage Ref(L, P->getVectorLen(), 7);
-    sim::CheckOptions Reference;
-    Reference.UseReferenceEngine = true;
-    sim::CheckResult RefCheck =
-        sim::checkSimdization(L, *P, Ref, nullptr, Reference);
-    sim::CheckResult DecCheck = sim::checkSimdization(L, *P, Ref);
-    EXPECT_EQ(RefCheck.Ok, DecCheck.Ok);
-    EXPECT_TRUE(RefCheck.Ok) << RefCheck.Message;
   }
 }
 

@@ -72,23 +72,24 @@ struct Unit {
 int main() {
   // Owning stores; deques so references handed to Units never move.
   std::deque<ir::Loop> Loops;
-  std::deque<sim::OracleCache> Oracles;
+  std::deque<sim::ReferenceImage> Images;
   std::deque<pipeline::CompileResult> Results;
   std::map<unsigned, std::vector<Unit>> ByWidth;
   uint64_t Rejected = 0;
   int Failures = 0;
 
   // Compiles Loops.back() under configurations at every width and queues
-  // the survivors. Corpus loops take the full configuration matrix; fuzz
-  // seeds rotate through it (one configuration per width, offset per
-  // width so the three widths of a seed differ) — across the sweep every
-  // policy x SP x opt-level cell is hit many times per width.
+  // the survivors against one image of CheckSeed per width. Corpus loops
+  // take the full configuration matrix; fuzz seeds rotate through it (one
+  // configuration per width, offset per width so the three widths of a
+  // seed differ) — across the sweep every policy x SP x opt-level cell is
+  // hit many times per width.
   auto AddConfigs = [&](const std::string &TagBase, bool Fuzz,
-                        uint64_t Rotate) {
+                        uint64_t Rotate, uint64_t CheckSeed) {
     const ir::Loop &L = Loops.back();
-    sim::OracleCache &Oracle = Oracles.back();
     for (size_t WI = 0; WI < 3; ++WI) {
       unsigned W = Widths[WI];
+      const sim::ReferenceImage &Ref = Images.emplace_back(L, W, CheckSeed);
       std::vector<fuzz::FuzzConfig> Configs = fuzz::configsForLoop(L, W);
       for (size_t I = 0; I < Configs.size(); ++I) {
         if (Fuzz && I != (Rotate + WI) % Configs.size())
@@ -108,7 +109,7 @@ int main() {
         Results.push_back(std::move(R));
         ByWidth[W].push_back({std::move(Tag), &L,
                               &*Results.back().Simd.Program,
-                              &Oracle.get(W), Fuzz});
+                              &Ref, Fuzz});
       }
     }
   };
@@ -139,15 +140,13 @@ int main() {
       continue;
     }
     Loops.push_back(std::move(*Parsed.Loop));
-    Oracles.emplace_back(Loops.back(), /*Seed=*/2004);
-    AddConfigs(F.filename().string(), /*Fuzz=*/false, 0);
+    AddConfigs(F.filename().string(), /*Fuzz=*/false, 0, /*CheckSeed=*/2004);
   }
 
   for (uint64_t Seed = FuzzStart; Seed < FuzzStart + FuzzSeeds; ++Seed) {
     Loops.push_back(synth::synthesizeLoop(fuzz::paramsForSeed(Seed, 64)));
-    Oracles.emplace_back(Loops.back(), Seed ^ 0xc0ffee);
     AddConfigs(strf("seed%llu", static_cast<unsigned long long>(Seed)),
-               /*Fuzz=*/true, Seed);
+               /*Fuzz=*/true, Seed, Seed ^ 0xc0ffee);
   }
 
   // Run everything, batched per width.

@@ -10,7 +10,7 @@
 /// observe), the tracer's Chrome trace-event export and its disabled fast
 /// path (no events, bit-identical ExecStats), the decision log built by
 /// codegen::explainSimdization (predicted == placed shift counts, schema),
-/// per-PC execution profiles and the chunk heatmap, and the fuzzer's
+/// the chunk heatmap, and the fuzzer's
 /// metrics JSONL stream (byte-identical across --jobs values).
 ///
 //===----------------------------------------------------------------------===//
@@ -492,49 +492,8 @@ TEST(ObsDecisionLog, RecordsSimdizationFailure) {
 }
 
 //===----------------------------------------------------------------------===//
-// PC profiles and the chunk heatmap
+// The chunk heatmap
 //===----------------------------------------------------------------------===//
-
-TEST(ObsProfile, PCCountsMatchAcrossEngines) {
-  ir::Loop L = parseFig1();
-  codegen::SimdizeOptions Opts;
-  Opts.Policy = policies::PolicyKind::Lazy;
-  Opts.SoftwarePipelining = true;
-  codegen::SimdizeResult R = codegen::simdize(L, Opts);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  opt::runOptPipeline(*R.Program, opt::OptConfig());
-
-  sim::ReferenceImage Ref(L, R.Program->getVectorLen(), 7);
-  sim::CheckOptions Decoded;
-  Decoded.TrackPCCounts = true;
-  sim::CheckResult CD = sim::checkSimdization(L, *R.Program, Ref, nullptr,
-                                              Decoded);
-  ASSERT_TRUE(CD.Ok) << CD.Message;
-  sim::CheckOptions Reference = Decoded;
-  Reference.UseReferenceEngine = true;
-  sim::CheckResult CR = sim::checkSimdization(L, *R.Program, Ref, nullptr,
-                                              Reference);
-  ASSERT_TRUE(CR.Ok) << CR.Message;
-
-  ASSERT_TRUE(CD.Stats.PCCounts.enabled());
-  EXPECT_EQ(CD.Stats.PCCounts.Setup.size(), R.Program->getSetup().size());
-  EXPECT_EQ(CD.Stats.PCCounts.Body.size(), R.Program->getBody().size());
-  EXPECT_EQ(CD.Stats.PCCounts.Epilogue.size(),
-            R.Program->getEpilogue().size());
-  // Setup runs once; the steady body runs SteadyIterations times.
-  for (int64_t N : CD.Stats.PCCounts.Setup)
-    EXPECT_LE(N, 1);
-  bool SawSteady = false;
-  for (int64_t N : CD.Stats.PCCounts.Body)
-    SawSteady |= N == CD.Stats.SteadyIterations;
-  EXPECT_TRUE(SawSteady);
-
-  // The decoded engine's opt-in profile equals the reference engine's
-  // always-on one.
-  EXPECT_EQ(CD.Stats.PCCounts.Setup, CR.Stats.PCCounts.Setup);
-  EXPECT_EQ(CD.Stats.PCCounts.Body, CR.Stats.PCCounts.Body);
-  EXPECT_EQ(CD.Stats.PCCounts.Epilogue, CR.Stats.PCCounts.Epilogue);
-}
 
 TEST(ObsProfile, ChunkHeatmapTracksLoadsAndStores) {
   ir::Loop L = parseFig1();
@@ -544,7 +503,7 @@ TEST(ObsProfile, ChunkHeatmapTracksLoadsAndStores) {
   ASSERT_TRUE(R.ok()) << R.Error;
 
   sim::ReferenceImage Ref(L, R.Program->getVectorLen(), 7);
-  sim::CheckOptions CO;
+  sim::ExecOptions CO;
   CO.TrackChunkLoads = true;
   sim::CheckResult C = sim::checkSimdization(L, *R.Program, Ref, nullptr, CO);
   ASSERT_TRUE(C.Ok) << C.Message;

@@ -196,6 +196,54 @@ TEST_F(VirTest, VerifierCatchesLoopCounterClobber) {
   EXPECT_NE(Err->find("clobbers the loop counter"), std::string::npos);
 }
 
+TEST_F(VirTest, VerifierCatchesPredicatedBodyInstruction) {
+  VProgram P(16, 4);
+  VRegId V0 = P.allocVReg();
+  SRegId Pred = P.allocSReg();
+  P.getSetup().push_back(VInst::makeSConst(Pred, 1));
+  P.getSetup().push_back(VInst::makeVSplat(V0, 0, 4));
+  VInst Store =
+      VInst::makeVStore(Address::indexed(A, 0, P.getIndexReg()), V0);
+  Store.Predicate = Pred;
+  P.getBody().push_back(Store);
+  auto Err = verifyProgram(P);
+  ASSERT_NE(Err, std::nullopt);
+  EXPECT_NE(Err->find("predicated instruction in the steady body"),
+            std::string::npos)
+      << *Err;
+}
+
+TEST_F(VirTest, VerifierCatchesScalarDefInBody) {
+  VProgram P(16, 4);
+  SRegId S1 = P.allocSReg();
+  P.getBody().push_back(VInst::makeSBinOp(
+      SBinOpKind::Add, S1, ScalarOperand::reg(P.getIndexReg()),
+      ScalarOperand::imm(4)));
+  auto Err = verifyProgram(P);
+  ASSERT_NE(Err, std::nullopt);
+  EXPECT_NE(Err->find("scalar definition in the steady body"),
+            std::string::npos)
+      << *Err;
+}
+
+TEST_F(VirTest, VerifierCatchesBodyAccessNotIndexedByCounter) {
+  VProgram P(16, 4);
+  VRegId V0 = P.allocVReg();
+  SRegId Other = P.allocSReg();
+  P.getSetup().push_back(VInst::makeSConst(Other, 8));
+  // A constant address and one indexed by another register both escape
+  // the counter.
+  for (const Address &Addr :
+       {Address::constant(B, 0, 4), Address::indexed(B, 0, Other)}) {
+    P.getBody().assign({VInst::makeVLoad(V0, Addr)});
+    auto Err = verifyProgram(P);
+    ASSERT_NE(Err, std::nullopt);
+    EXPECT_NE(Err->find("not indexed by the loop counter"),
+              std::string::npos)
+        << *Err;
+  }
+}
+
 TEST_F(VirTest, VerifierCatchesUndefinedPredicate) {
   VProgram P(16, 4);
   VRegId V0 = P.allocVReg();
