@@ -58,7 +58,8 @@ SRegId CodeGenContext::getRuntimeOffsetReg(const ir::Array *A,
   VInst And =
       VInst::makeSBinOp(SBinOpKind::And, OffsetReg, ScalarOperand::reg(SumReg),
                         ScalarOperand::imm(static_cast<int64_t>(V) - 1));
-  And.Comment = "runtime stream offset of " + A->getName();
+  And.Comment = "runtime stream offset of ";
+  And.CommentArray = A;
   Setup.push_back(And);
 
   OffsetRegs.emplace(Key, OffsetReg);
@@ -85,7 +86,8 @@ SRegId CodeGenContext::getRuntimeRightShiftReg(const ir::Array *A,
   VInst Sub = VInst::makeSBinOp(
       SBinOpKind::Sub, ShiftReg, ScalarOperand::imm(static_cast<int64_t>(V)),
       ScalarOperand::reg(OffsetReg));
-  Sub.Comment = "right-shift amount toward " + A->getName();
+  Sub.Comment = "right-shift amount toward ";
+  Sub.CommentArray = A;
   Program.getSetup().push_back(Sub);
 
   RightShiftRegs.emplace(Key, ShiftReg);
@@ -113,7 +115,8 @@ VRegId CodeGenContext::getParamSplatReg(const ir::Param *P) {
       static_cast<unsigned>(Pos - Params.begin()), P->getActualValue());
   VRegId Reg = Program.allocVReg();
   VInst Splat = VInst::makeVSplatReg(Reg, Scalar, getElemSize());
-  Splat.Comment = "splat of parameter " + P->getName();
+  Splat.Comment = "splat of parameter ";
+  Splat.CommentParam = P;
   Program.getSetup().push_back(Splat);
   ParamSplatRegs.emplace(P, Reg);
   return Reg;

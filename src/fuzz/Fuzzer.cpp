@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -66,48 +67,100 @@ std::vector<FuzzConfig> fuzz::configsForLoop(const ir::Loop &L,
   return Configs;
 }
 
-RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
-                                uint64_t CheckSeed,
-                                const ProgramMutator &Mutator,
-                                const sim::ReferenceImage *Ref, bool Oracles,
-                                bool NativeDiff) {
-  // The raw-program window of the facade: mutations hit the program
-  // before the property oracles and the optimizer — an injected bug can
-  // hide behind neither.
-  RunResult HookFailure;
-  pipeline::PipelineHooks Hooks;
-  Hooks.RawProgram = [&](codegen::SimdizeResult &R,
-                         const codegen::SimdizeOptions &Simd) {
-    if (Mutator)
-      Mutator(*R.Program);
-    if (!Oracles)
-      return true;
-    auto Fail = [&](std::string Message, oracle::FailureKind Kind) {
-      HookFailure.Status = RunStatus::Failed;
-      HookFailure.Message = std::move(Message);
-      HookFailure.Kind = Kind;
-      HookFailure.ShiftCount = R.ShiftCount;
-      return false;
-    };
-    // VVerifier-on-everything hook: simdize() verified its own output,
-    // but the mutated program must be re-proven valid before anything
-    // downstream consumes it.
-    if (Mutator)
-      if (auto Err = vir::verifyProgram(*R.Program))
-        return Fail(strf("program fails verification under scheme %s: %s",
-                         C.name().c_str(), Err->c_str()),
-                    oracle::FailureKind::Verifier);
-    // Shift counts are checked on the raw program: CSE and predictive
-    // commoning may legitimately merge realignment operations later. The
-    // hook's options carry the auto-resolved policy, so auto configs are
-    // held to the contract of the policy the pipeline actually chose.
-    if (auto V = oracle::checkShiftCounts(L, R, Simd.Policy,
-                                          Simd.SoftwarePipelining))
-      return Fail(V->Message, V->Kind);
-    return true;
-  };
+namespace {
 
-  pipeline::CompileResult P = pipeline::runPipeline(L, C, Hooks);
+/// What decides a verified run's op counts besides the loop and the
+/// reference image, which are fixed within one (seed, width): the raw
+/// program, as the index of the first codegen entry whose program equals
+/// it, and the inputs of the steps between that program and the counts.
+struct OutcomeKey {
+  size_t Canon = 0;
+  OptLevel Opt = OptLevel::Raw;
+  bool MemNorm = true;
+  bool TrackChunkLoads = false;
+
+  bool operator==(const OutcomeKey &) const = default;
+};
+
+/// runOneSeed's memo for one (seed, width), in two layers. The codegen
+/// layer holds one simdize() result per resolved (policy, software
+/// pipelining): the three opt levels of a policy, and the auto configs
+/// that resolve to it, pass simdize() identical options. The outcome layer
+/// holds the op counts of verified runs, so a config whose raw program
+/// (after the mutator) equals an earlier one's skips the optimizer and
+/// the VM check. Only verified outcomes are stored, so every failure is
+/// recomputed and names its own config. No program is kept per outcome.
+class SeedMemo {
+public:
+  /// \p C's raw program: a private copy of its codegen entry, simdized on
+  /// the first config that needs it.
+  pipeline::CompileResult rawProgram(const ir::Loop &L, const FuzzConfig &C) {
+    // Reassociation rewrites the loop the key assumes fixed.
+    assert(!C.OffsetReassoc && "the memo compiles the loop as given");
+    policies::PolicyKind Policy = pipeline::resolvePolicy(L, C);
+    bool SP = C.Simd.SoftwarePipelining;
+    auto It = std::find_if(Codegen.begin(), Codegen.end(), [&](auto &E) {
+      return E.Policy == Policy && E.SP == SP;
+    });
+    if (It == Codegen.end()) {
+      ++SimdizeCalls;
+      It = Codegen.insert(Codegen.end(),
+                          {Policy, SP, pipeline::compileRaw(L, C).Simd});
+    }
+    pipeline::CompileResult P;
+    P.Simd = It->Simd;
+    P.ResolvedPolicy = Policy;
+    P.ConfigName = C.name();
+    P.Tier = C.Tier;
+    return P;
+  }
+
+  /// The outcome key of a run of \p C whose raw program is \p Raw; none
+  /// when no codegen entry's program equals it (the mutator changed it).
+  std::optional<OutcomeKey> keyOf(const vir::VProgram &Raw,
+                                  const FuzzConfig &C,
+                                  bool TrackChunkLoads) const {
+    for (size_t I = 0; I < Codegen.size(); ++I)
+      if (Codegen[I].Simd.ok() && *Codegen[I].Simd.Program == Raw)
+        return OutcomeKey{I, C.Opt, C.MemNorm, TrackChunkLoads};
+    return std::nullopt;
+  }
+
+  const sim::OpCounts *find(const OutcomeKey &K) const {
+    for (const auto &[Key, Counts] : Outcomes)
+      if (Key == K)
+        return &Counts;
+    return nullptr;
+  }
+
+  void remember(const OutcomeKey &K, const sim::OpCounts &Counts) {
+    Outcomes.emplace_back(K, Counts);
+  }
+
+  uint64_t SimdizeCalls = 0; ///< simdize() calls made for codegen entries.
+  uint64_t VmChecks = 0;     ///< Runs that optimized and ran the VM check.
+
+private:
+  struct CodegenEntry {
+    policies::PolicyKind Policy;
+    bool SP;
+    codegen::SimdizeResult Simd;
+  };
+  std::vector<CodegenEntry> Codegen;
+  std::vector<std::pair<OutcomeKey, sim::OpCounts>> Outcomes;
+};
+
+/// Everything runConfigOnLoop does after code generation, on \p P, a raw
+/// program private to \p C. With \p Memo, a run whose outcome key has a
+/// verified outcome takes its op counts from the memo and skips the
+/// optimizer, post-optimization verification, the VM check, the native
+/// differential and never-load-twice; the OPD bound, which reads the
+/// config's own policy, still runs.
+RunResult finishRun(const ir::Loop &L, const FuzzConfig &C,
+                    pipeline::CompileResult &P, uint64_t CheckSeed,
+                    const ProgramMutator &Mutator,
+                    const sim::ReferenceImage *Ref, bool Oracles,
+                    bool NativeDiff, SeedMemo *Memo) {
   if (!P.Simd.ok()) {
     RunStatus Status = P.Simd.ErrorKind == codegen::SimdizeErrorKind::Internal
                            ? RunStatus::Failed
@@ -116,8 +169,6 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
             Status == RunStatus::Failed ? oracle::FailureKind::Internal
                                         : oracle::FailureKind::None};
   }
-  if (P.HookAborted)
-    return HookFailure;
 
   // Everything past code generation reports the placed-shift count, so
   // metrics see it even for runs that go on to fail.
@@ -131,43 +182,98 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
     return Res;
   };
 
-  if (P.PostOptVerifyError)
-    return Tagged(RunStatus::Failed, *P.PostOptVerifyError,
-                  oracle::FailureKind::Verifier);
+  // The raw-program window: mutations hit the program before the property
+  // oracles and the optimizer — an injected bug can hide behind neither.
+  if (Mutator)
+    Mutator(*P.Simd.Program);
+  if (Oracles) {
+    // VVerifier-on-everything: simdize() verified its own output, but the
+    // mutated program must be re-proven valid before anything downstream
+    // consumes it.
+    if (Mutator)
+      if (auto Err = vir::verifyProgram(*P.Simd.Program))
+        return Tagged(RunStatus::Failed,
+                      strf("program fails verification under scheme %s: %s",
+                           C.name().c_str(), Err->c_str()),
+                      oracle::FailureKind::Verifier);
+    // Shift counts are checked on the raw program: CSE and predictive
+    // commoning may legitimately merge realignment operations later. Auto
+    // configs are held to the contract of the policy they resolved to.
+    if (auto V = oracle::checkShiftCounts(L, P.Simd, P.ResolvedPolicy,
+                                          C.Simd.SoftwarePipelining))
+      return Tagged(RunStatus::Failed, V->Message, V->Kind);
+  }
 
   unsigned VectorLen = P.Simd.Program->getVectorLen();
   // Chunk counts are collected only when the never-load-twice oracle will
   // consume them.
   sim::ExecOptions EO;
   EO.TrackChunkLoads = Oracles && C.exploitsReuse();
-  // Bulk callers share the scalar reference run across configurations;
-  // the shrinker, with no shared image, builds its own.
-  std::optional<sim::ReferenceImage> Own;
-  if (!Ref)
-    Ref = &Own.emplace(L, VectorLen, CheckSeed);
-  // The native axis rides on the result's tier: checkCompiled then runs
-  // the dlopen'd kernel against the image the VM was verified against.
-  if (NativeDiff)
-    P.Tier = pipeline::ExecTier::Native;
-  sim::CheckResult Check = pipeline::checkCompiled(L, P, *Ref, "", EO);
-  if (!Check.Ok)
-    return Tagged(RunStatus::Failed, Check.Message,
-                  Check.VerifierFailed ? oracle::FailureKind::Verifier
-                                       : oracle::FailureKind::Mismatch);
+  // The key is taken after the mutator, so a mutated program never
+  // borrows the outcome of the program it was mutated from.
+  std::optional<OutcomeKey> Key;
+  const sim::OpCounts *Known = nullptr;
+  if (Memo) {
+    Key = Memo->keyOf(*P.Simd.Program, C, EO.TrackChunkLoads);
+    if (Key)
+      Known = Memo->find(*Key);
+  }
 
-  if (Oracles) {
-    if (C.exploitsReuse())
+  sim::ExecStats Stats;
+  if (Known) {
+    Stats.Counts = *Known;
+  } else {
+    pipeline::optimize(P, C);
+    if (P.PostOptVerifyError)
+      return Tagged(RunStatus::Failed, *P.PostOptVerifyError,
+                    oracle::FailureKind::Verifier);
+
+    // Bulk callers share the scalar reference run across configurations;
+    // the shrinker, with no shared image, builds its own.
+    std::optional<sim::ReferenceImage> Own;
+    if (!Ref)
+      Ref = &Own.emplace(L, VectorLen, CheckSeed);
+    // The native axis rides on the result's tier: checkCompiled then runs
+    // the dlopen'd kernel against the image the VM was verified against.
+    if (NativeDiff)
+      P.Tier = pipeline::ExecTier::Native;
+    if (Memo)
+      ++Memo->VmChecks;
+    sim::CheckResult Check = pipeline::checkCompiled(L, P, *Ref, "", EO);
+    if (!Check.Ok)
+      return Tagged(RunStatus::Failed, Check.Message,
+                    Check.VerifierFailed ? oracle::FailureKind::Verifier
+                                         : oracle::FailureKind::Mismatch);
+    if (Oracles && C.exploitsReuse())
       if (auto V = oracle::checkNeverLoadTwice(L, VectorLen, Check.Stats))
         return Tagged(RunStatus::Failed, V->Message, V->Kind);
-    if (auto V = oracle::checkOpdBound(L, VectorLen, P.ResolvedPolicy, C.Opt,
-                                       Check.Stats))
-      return Tagged(RunStatus::Failed, V->Message, V->Kind);
+    Stats = std::move(Check.Stats);
   }
+
+  if (Oracles)
+    if (auto V = oracle::checkOpdBound(L, VectorLen, P.ResolvedPolicy, C.Opt,
+                                       Stats))
+      return Tagged(RunStatus::Failed, V->Message, V->Kind);
+  if (Key && !Known)
+    Memo->remember(*Key, Stats.Counts);
+
   RunResult Res = Tagged(RunStatus::Verified, "", oracle::FailureKind::None);
   // NaN for zero-trip loops by the opd convention; metrics skip it.
-  Res.Opd = Check.Stats.Counts.opd(
-      L.getUpperBound() * static_cast<int64_t>(L.getStmts().size()));
+  Res.Opd = Stats.Counts.opd(L.getUpperBound() *
+                             static_cast<int64_t>(L.getStmts().size()));
   return Res;
+}
+
+} // namespace
+
+RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
+                                uint64_t CheckSeed,
+                                const ProgramMutator &Mutator,
+                                const sim::ReferenceImage *Ref, bool Oracles,
+                                bool NativeDiff) {
+  pipeline::CompileResult P = pipeline::compileRaw(L, C);
+  return finishRun(L, C, P, CheckSeed, Mutator, Ref, Oracles, NativeDiff,
+                   /*Memo=*/nullptr);
 }
 
 synth::SynthParams fuzz::paramsForSeed(uint64_t Seed, unsigned MaxVectorLen,
@@ -249,6 +355,8 @@ struct SeedOutcome {
   /// counts, folded into the sweep-level histograms at merge time.
   std::vector<double> OpdSamples;
   std::vector<unsigned> ShiftSamples;
+  uint64_t SimdizeCalls = 0;
+  uint64_t VmChecks = 0;
   bool Ran = false;
 };
 
@@ -286,7 +394,9 @@ std::string renderRunRecord(uint64_t Seed, const FuzzConfig &C,
 /// Runs every applicable configuration at every width of the sweep for one
 /// seed. Pure in the seed (and the mutator): resynthesizes the loop from
 /// paramsForSeed at the widest width — so all widths exercise the *same*
-/// loop — and checks every run at a width against one ReferenceImage.
+/// loop — and checks every run at a width against one ReferenceImage,
+/// through one SeedMemo per width. Each run's record is the one
+/// runConfigOnLoop would give it.
 static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
                               const std::vector<unsigned> &Widths,
                               unsigned MaxWidth) {
@@ -297,9 +407,11 @@ static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
 
   for (unsigned W : Widths) {
     sim::ReferenceImage Ref(L, W, CheckSeed);
+    SeedMemo Memo;
     for (const FuzzConfig &C : configsForLoop(L, W, Opts.PolicyFilter)) {
-      RunResult R = runConfigOnLoop(L, C, CheckSeed, Opts.Mutator, &Ref,
-                                    Opts.Oracles, Opts.NativeDiff);
+      pipeline::CompileResult P = Memo.rawProgram(L, C);
+      RunResult R = finishRun(L, C, P, CheckSeed, Opts.Mutator, &Ref,
+                              Opts.Oracles, Opts.NativeDiff, &Memo);
       if (Opts.MetricsOut) {
         Out.Metrics.push_back(renderRunRecord(Seed, C, R));
         if (R.Status == RunStatus::Verified) {
@@ -320,6 +432,8 @@ static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
         break;
       }
     }
+    Out.SimdizeCalls += Memo.SimdizeCalls;
+    Out.VmChecks += Memo.VmChecks;
   }
   Out.Ran = true;
   return Out;
@@ -385,6 +499,8 @@ FuzzStats fuzz::runFuzz(const FuzzOptions &Opts) {
 
     Stats.RunsVerified += Out.Verified;
     Stats.RunsRejected += Out.Rejected;
+    Stats.SimdizeCalls += Out.SimdizeCalls;
+    Stats.VmChecks += Out.VmChecks;
 
     if (Opts.MetricsOut) {
       for (const std::string &Rec : Out.Metrics) {

@@ -143,7 +143,9 @@ struct FuzzOptions {
   /// (hence determinism) depends on scheduling.
   unsigned Jobs = 1;
   /// Applied to every generated program before checking (test hook for
-  /// injected bugs). Must be safe to call concurrently when Jobs > 1.
+  /// injected bugs): once per configuration, on that configuration's own
+  /// copy of its raw program, in sweep order at Jobs=1. Must be safe to
+  /// call concurrently when Jobs > 1.
   ProgramMutator Mutator;
   /// Run the property oracles on every run (the --oracles flag; on by
   /// default). Bit-equality checking is unconditional.
@@ -193,6 +195,12 @@ struct FuzzStats {
   /// earlier failure of the sweep: logged and counted here, but not
   /// recorded in Failures or written to the corpus again.
   uint64_t DuplicateFailures = 0;
+  /// Work the sweep did after its per-(seed, width) memo: simdize() calls,
+  /// at most one per resolved (policy, software pipelining), and runs that
+  /// optimized and ran the VM check, at most one per distinct (raw
+  /// program, opt level). Not part of the metrics stream.
+  uint64_t SimdizeCalls = 0;
+  uint64_t VmChecks = 0;
   bool HitTimeBudget = false;
   std::vector<FuzzFailure> Failures;
 

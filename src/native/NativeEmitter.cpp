@@ -9,6 +9,7 @@
 #include "ir/Loop.h"
 #include "support/Debug.h"
 #include "support/Format.h"
+#include "vir/VPrinter.h"
 #include "vir/VProgram.h"
 
 using namespace simdize;
@@ -192,8 +193,8 @@ std::string KernelEmitter::stmt(const VInst &I) const {
   std::string S = bareStmt(I);
   if (I.Predicate)
     S = strf("if (s%u) { ", I.Predicate->Id) + S + " }";
-  if (!I.Comment.empty())
-    S += "  // " + I.Comment;
+  if (I.Comment)
+    S += "  // " + vir::commentText(I);
   return S;
 }
 

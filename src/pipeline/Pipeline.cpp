@@ -79,16 +79,40 @@ resolveAutoPolicy(const ir::Loop &L, const codegen::SimdizeOptions &Simd) {
   return Best;
 }
 
+policies::PolicyKind pipeline::resolvePolicy(const ir::Loop &L,
+                                             const CompileRequest &Req) {
+  return Req.AutoPolicy ? resolveAutoPolicy(L, Req.Simd) : Req.Simd.Policy;
+}
+
 CompileResult pipeline::runPipeline(const ir::Loop &L,
                                     const CompileRequest &Req,
                                     const PipelineHooks &Hooks) {
+  obs::Span PipelineSpan("pipeline");
+  if (PipelineSpan.active())
+    PipelineSpan.argStr("config", Req.name());
+
+  CompileResult Res = compileRaw(L, Req);
+  if (!Res.Simd.ok())
+    return Res;
+
+  if (Hooks.RawProgram) {
+    codegen::SimdizeOptions Simd = Req.Simd;
+    Simd.Policy = Res.ResolvedPolicy;
+    if (!Hooks.RawProgram(Res.Simd, Simd)) {
+      Res.HookAborted = true;
+      return Res;
+    }
+  }
+
+  optimize(Res, Req);
+  return Res;
+}
+
+CompileResult pipeline::compileRaw(const ir::Loop &L,
+                                   const CompileRequest &Req) {
   CompileResult Res;
   Res.ConfigName = Req.name();
   Res.Tier = Req.Tier;
-
-  obs::Span PipelineSpan("pipeline");
-  if (PipelineSpan.active())
-    PipelineSpan.argStr("config", Res.ConfigName);
 
   // Offset reassociation is a scalar source transformation; it runs on a
   // private clone so one loop can be compiled under many requests (the
@@ -104,32 +128,27 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
   // Auto selection resolves against the loop actually compiled, so a
   // reassociated offset pattern is judged in its rewritten form.
   codegen::SimdizeOptions Simd = Req.Simd;
-  if (Req.AutoPolicy)
-    Simd.Policy = resolveAutoPolicy(*Compiled, Simd);
+  Simd.Policy = resolvePolicy(*Compiled, Req);
   Res.ResolvedPolicy = Simd.Policy;
 
   Res.Simd = codegen::simdize(*Compiled, Simd);
-  if (!Res.Simd.ok())
-    return Res;
-
-  if (Hooks.RawProgram && !Hooks.RawProgram(Res.Simd, Simd)) {
-    Res.HookAborted = true;
-    return Res;
-  }
-
-  if (Req.Opt != OptLevel::Raw) {
-    opt::OptConfig Config;
-    Config.MemNorm = Req.MemNorm;
-    Config.PC = Req.Opt == OptLevel::PC;
-    Res.Opt = opt::runOptPipeline(*Res.Simd.Program, Config);
-    Res.OptRan = true;
-
-    // The raw program was verified by simdize(); re-prove the optimized
-    // one so a pass bug cannot masquerade as a simulation mismatch.
-    if (auto Err = vir::verifyProgram(*Res.Simd.Program))
-      Res.PostOptVerifyError = "optimized program is invalid: " + *Err;
-  }
   return Res;
+}
+
+void pipeline::optimize(CompileResult &R, const CompileRequest &Req) {
+  assert(R.Simd.ok() && "nothing to optimize");
+  if (Req.Opt == OptLevel::Raw)
+    return;
+  opt::OptConfig Config;
+  Config.MemNorm = Req.MemNorm;
+  Config.PC = Req.Opt == OptLevel::PC;
+  R.Opt = opt::runOptPipeline(*R.Simd.Program, Config);
+  R.OptRan = true;
+
+  // The raw program was verified by simdize(); re-prove the optimized one
+  // so a pass bug cannot masquerade as a simulation mismatch.
+  if (auto Err = vir::verifyProgram(*R.Simd.Program))
+    R.PostOptVerifyError = "optimized program is invalid: " + *Err;
 }
 
 sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,

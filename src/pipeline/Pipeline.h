@@ -10,7 +10,9 @@
 /// pipeline -> verification. The CLI tool, the fuzzer, the experiment
 /// harness, and every bench used to duplicate this sequence with slightly
 /// different option structs; they now all build a CompileRequest and call
-/// runPipeline().
+/// runPipeline(), or its two halves, compileRaw() and optimize(), when
+/// they share one raw program across requests (the fuzzer's per-seed
+/// memo).
 ///
 /// A CompileRequest is the complete configuration of one compilation:
 /// the codegen options (placement policy, software pipelining, and the
@@ -117,11 +119,10 @@ struct CompileRequest {
 /// Caller windows into the pipeline.
 struct PipelineHooks {
   /// Invoked on the raw program right after simdize() succeeds, before
-  /// the optimizer. The fuzzer mutates the program and runs its
-  /// raw-program oracles here. The second argument is the SimdizeOptions
-  /// the program was actually compiled with — under AutoPolicy its Policy
-  /// is the resolved one, so per-policy oracles hold the program to the
-  /// right contract. Returning false aborts the pipeline
+  /// the optimizer. The second argument is the SimdizeOptions the program
+  /// was actually compiled with — under AutoPolicy its Policy is the
+  /// resolved one, so per-policy oracles hold the program to the right
+  /// contract. Returning false aborts the pipeline
   /// (CompileResult::HookAborted); the hook owns reporting why.
   std::function<bool(codegen::SimdizeResult &,
                      const codegen::SimdizeOptions &)>
@@ -185,13 +186,28 @@ struct CompileResult {
   }
 };
 
-/// Runs the compile path on \p L under \p Req: offset reassociation (on a
-/// private copy of the loop), simdization, the RawProgram hook, the
-/// optimization pipeline, and post-optimization verification. \p L is
-/// only read; it must outlive uses of the result that reference it
-/// (checkCompiled takes it again explicitly).
+/// Runs the compile path on \p L under \p Req: compileRaw(), the
+/// RawProgram hook, then optimize(). \p L is only read; it must outlive
+/// uses of the result that reference it (checkCompiled takes it again
+/// explicitly).
 CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req,
                           const PipelineHooks &Hooks = {});
+
+/// The first half of runPipeline(): offset reassociation (on a private
+/// copy of the loop), policy resolution and simdize(). The result holds
+/// the raw program; optimize() finishes the compile.
+CompileResult compileRaw(const ir::Loop &L, const CompileRequest &Req);
+
+/// The second half of runPipeline(): the optimization pipeline at
+/// \p Req's level, then re-verification of the optimized program, in
+/// place on \p R's program. \p R must hold a program (R.Simd.ok()).
+void optimize(CompileResult &R, const CompileRequest &Req);
+
+/// The placement policy \p Req compiles \p L with: the request's own, or
+/// under AutoPolicy the one auto selection picks. \p L is the loop
+/// actually compiled, so under OffsetReassoc the rewritten one.
+policies::PolicyKind resolvePolicy(const ir::Loop &L,
+                                   const CompileRequest &Req);
 
 /// Bit-equality check of a compiled result against the scalar oracle:
 /// sim::checkSimdization against \p Ref, then, for the native tier, the

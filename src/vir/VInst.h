@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <type_traits>
 
 namespace simdize {
 namespace vir {
@@ -96,8 +96,16 @@ struct VInst {
   /// (used by the runtime-bound epilogue, Section 4.4).
   std::optional<SRegId> Predicate;
 
-  /// Free-form annotation carried into the printer.
-  std::string Comment;
+  /// Annotation carried into the printers: a string literal, followed by
+  /// the name of CommentArray or CommentParam when one is set. Pointers,
+  /// like Addr.Base, keep the instruction trivially copyable.
+  const char *Comment = nullptr;
+  const ir::Array *CommentArray = nullptr;
+  const ir::Param *CommentParam = nullptr;
+
+  /// Field-wise equality, comments and array pointers included: equal
+  /// instructions print the same and execute the same.
+  bool operator==(const VInst &) const = default;
 
   /// \name Factories
   /// @{
@@ -138,6 +146,10 @@ struct VInst {
   /// and dead-code elimination.
   bool isPure() const { return Op != VOpcode::VStore; }
 };
+
+// Blocks copy as plain memory (the fuzzer copies a raw program per
+// configuration); keep every member trivial.
+static_assert(std::is_trivially_copyable_v<VInst>);
 
 /// Printable mnemonic of an opcode.
 const char *opcodeName(VOpcode Op);

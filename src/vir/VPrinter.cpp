@@ -88,8 +88,19 @@ std::string vir::printInst(const VInst &I) {
   }
   if (I.Predicate)
     S = strf("[if s%u] ", I.Predicate->Id) + S;
-  if (!I.Comment.empty())
-    S += "  ; " + I.Comment;
+  if (I.Comment)
+    S += "  ; " + commentText(I);
+  return S;
+}
+
+std::string vir::commentText(const VInst &I) {
+  if (!I.Comment)
+    return std::string();
+  std::string S = I.Comment;
+  if (I.CommentArray)
+    S += I.CommentArray->getName();
+  if (I.CommentParam)
+    S += I.CommentParam->getName();
   return S;
 }
 

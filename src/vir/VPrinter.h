@@ -31,6 +31,10 @@ class VProgram;
 /// Renders one instruction (no trailing newline).
 std::string printInst(const VInst &I);
 
+/// The text of \p I's annotation: the comment literal followed by the name
+/// of the array or parameter it points at, if any. Empty without a comment.
+std::string commentText(const VInst &I);
+
 /// Renders the whole program.
 std::string printProgram(const VProgram &P);
 

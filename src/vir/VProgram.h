@@ -156,6 +156,11 @@ public:
     return TripCountValue;
   }
 
+  /// Content equality: the same width, registers, parameters and their
+  /// actual values, loop bounds and step, and instructions. Equal programs
+  /// print, execute and lower to native code the same.
+  bool operator==(const VProgram &) const = default;
+
 private:
   unsigned VectorLen;
   unsigned ElemSize;

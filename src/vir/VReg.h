@@ -34,7 +34,7 @@ struct VRegId {
   unsigned Id = ~0u;
 
   bool isValid() const { return Id != ~0u; }
-  bool operator==(const VRegId &O) const { return Id == O.Id; }
+  bool operator==(const VRegId &) const = default;
 };
 
 /// Identifies a 64-bit scalar register.
@@ -42,7 +42,7 @@ struct SRegId {
   unsigned Id = ~0u;
 
   bool isValid() const { return Id != ~0u; }
-  bool operator==(const SRegId &O) const { return Id == O.Id; }
+  bool operator==(const SRegId &) const = default;
 };
 
 /// A scalar value that is either a compile-time immediate or lives in a
@@ -66,6 +66,8 @@ struct ScalarOperand {
     Op.Reg = R;
     return Op;
   }
+
+  bool operator==(const ScalarOperand &) const = default;
 
   bool isImm() const { return !IsReg; }
   int64_t getImm() const {
@@ -102,6 +104,8 @@ struct Address {
     A.ConstIndex = ConstIndex;
     return A;
   }
+
+  bool operator==(const Address &) const = default;
 };
 
 } // namespace vir

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Exercises the fuzzing subsystem itself: the seed distribution, outcome
-/// classification, a no-failure smoke sweep, and — the interesting part —
-/// the shrinker, which must reduce a deliberately injected policy bug
-/// (an off-by-one stream-shift amount) to a reproducer of at most two
-/// statements and two loads.
+/// classification, a no-failure smoke sweep, the shrinker, which must
+/// reduce a deliberately injected policy bug (an off-by-one stream-shift
+/// amount) to a reproducer of at most two statements and two loads, and
+/// the sweep's per-seed memo, whose records must equal the per-config
+/// path's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +19,18 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
+#include "obs/Json.h"
 #include "parser/LoopParser.h"
+#include "vir/VPrinter.h"
 #include "vir/VProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <map>
+#include <memory>
 
 using namespace simdize;
 
@@ -253,6 +262,174 @@ TEST(Shrinker, CloneLoopIsFaithful) {
   ir::Loop Copy = ir::cloneLoop(L);
   EXPECT_EQ(ir::printParseable(Copy), ir::printParseable(L));
   EXPECT_EQ(ir::printLoop(Copy), ir::printLoop(L));
+}
+
+/// The per-run records of a runFuzz sweep's metrics stream, in order,
+/// without the closing aggregate record.
+std::vector<obs::json::Value> sweepRecords(fuzz::FuzzOptions Opts,
+                                           fuzz::FuzzStats &Stats) {
+  std::vector<obs::json::Value> Records;
+  std::FILE *F = std::tmpfile();
+  if (!F) {
+    ADD_FAILURE() << "no temporary file for the metrics stream";
+    return Records;
+  }
+  Opts.MetricsOut = F;
+  Stats = fuzz::runFuzz(Opts);
+  std::string Text;
+  std::rewind(F);
+  char Buf[1 << 14];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof Buf, F)) > 0;)
+    Text.append(Buf, N);
+  std::fclose(F);
+  for (size_t Pos = 0; Pos < Text.size();) {
+    size_t End = std::min(Text.find('\n', Pos), Text.size());
+    std::string Err;
+    std::optional<obs::json::Value> V =
+        obs::json::parse(Text.substr(Pos, End - Pos), &Err);
+    if (!V) {
+      ADD_FAILURE() << "bad metrics record: " << Err;
+      break;
+    }
+    if (!V->find("aggregate"))
+      Records.push_back(std::move(*V));
+    Pos = End + 1;
+  }
+  return Records;
+}
+
+const char *statusName(fuzz::RunStatus S) {
+  switch (S) {
+  case fuzz::RunStatus::Verified:
+    return "verified";
+  case fuzz::RunStatus::Rejected:
+    return "rejected";
+  case fuzz::RunStatus::Failed:
+    return "failed";
+  }
+  return "unknown";
+}
+
+/// Replays the sweep \p Opts through fuzz::runConfigOnLoop, config by
+/// config against one ReferenceImage per (seed, width), and requires every
+/// run to agree with the memoized sweep's record at the same position on
+/// status, kind, shift count and opd. Appends the replay's failures to
+/// \p Failures.
+void expectRecordsMatchPerConfigPath(
+    const fuzz::FuzzOptions &Opts,
+    const std::vector<obs::json::Value> &Records,
+    const fuzz::ProgramMutator &Mutator,
+    std::vector<fuzz::FuzzFailure> &Failures) {
+  unsigned MaxWidth = *std::max_element(Opts.Widths.begin(),
+                                        Opts.Widths.end());
+  size_t K = 0;
+  for (uint64_t Seed = Opts.StartSeed;
+       Seed < Opts.StartSeed + Opts.NumSeeds; ++Seed) {
+    ir::Loop L = synth::synthesizeLoop(fuzz::paramsForSeed(
+        Seed, MaxWidth, Opts.Guards, Opts.Reductions));
+    uint64_t CheckSeed = Seed ^ 0xc0ffee; // runFuzz's per-seed check seed
+    for (unsigned W : Opts.Widths) {
+      sim::ReferenceImage Ref(L, W, CheckSeed);
+      for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+        fuzz::RunResult R =
+            fuzz::runConfigOnLoop(L, C, CheckSeed, Mutator, &Ref);
+        if (R.Status == fuzz::RunStatus::Failed)
+          Failures.push_back({Seed, C, R.Kind, R.Message, "", ""});
+        if (K == Records.size()) {
+          ADD_FAILURE() << "the sweep has fewer records than runs";
+          return;
+        }
+        const obs::json::Value &Rec = Records[K++];
+        SCOPED_TRACE("seed " + std::to_string(Seed) + " " + C.name());
+        EXPECT_EQ(Rec.find("seed")->Num, static_cast<double>(Seed));
+        EXPECT_EQ(Rec.find("config")->Str, C.name());
+        EXPECT_EQ(Rec.find("status")->Str, statusName(R.Status));
+        EXPECT_EQ(Rec.find("kind")->Str, oracle::failureKindName(R.Kind));
+        EXPECT_EQ(Rec.find("shift_count")->Num,
+                  static_cast<double>(R.ShiftCount));
+        if (std::isnan(R.Opd))
+          EXPECT_TRUE(Rec.find("opd")->isNull());
+        else
+          EXPECT_EQ(Rec.find("opd")->Num, R.Opd);
+      }
+    }
+  }
+  EXPECT_EQ(K, Records.size());
+}
+
+TEST(FuzzMemo, SweepMatchesPerConfigPath) {
+  // runFuzz shares one simdize() per (policy, SP) and one VM check per
+  // distinct (raw program, opt level) within a (seed, width); every record
+  // must still be what the per-config path computes. Two workers put the
+  // per-worker memos under the thread sanitizer in CI. A nondeterministic
+  // simdize() or optimizer would show up here as a disagreement too.
+  fuzz::FuzzOptions Opts;
+  Opts.StartSeed = 1;
+  Opts.NumSeeds = 100;
+  Opts.Widths = {16, 32, 64};
+  Opts.Guards = true;
+  Opts.Reductions = true;
+  Opts.Jobs = 2;
+  Opts.Log = nullptr;
+  fuzz::FuzzStats Stats;
+  std::vector<obs::json::Value> Records = sweepRecords(Opts, Stats);
+  ASSERT_TRUE(Stats.ok()) << Stats.Failures.front().Message;
+
+  std::vector<fuzz::FuzzFailure> Failures;
+  expectRecordsMatchPerConfigPath(Opts, Records, {}, Failures);
+  EXPECT_TRUE(Failures.empty());
+  // The memo did share work: at most one simdize() call per (policy, SP)
+  // and width, and fewer VM checks than verified runs. The counts are
+  // merged in seed order, so the worker count does not change them.
+  EXPECT_LE(Stats.SimdizeCalls, 10u * Opts.Widths.size() * Opts.NumSeeds);
+  EXPECT_LT(Stats.VmChecks, Stats.RunsVerified);
+  Opts.Jobs = 1;
+  fuzz::FuzzStats Serial = fuzz::runFuzz(Opts);
+  EXPECT_EQ(Serial.SimdizeCalls, Stats.SimdizeCalls);
+  EXPECT_EQ(Serial.VmChecks, Stats.VmChecks);
+}
+
+/// Corrupts a program with the off-by-one shift every second time it sees
+/// that program's exact text. Configs see their raw program in sweep
+/// order (raw, opt, pc-opt per policy and SP), so the fourth sighting is
+/// typically the raw config of a later policy that emits the same program
+/// as a clean, verified raw config: only a memo keyed after the mutator
+/// tells the two apart.
+fuzz::ProgramMutator corruptEverySecondSighting() {
+  auto Seen = std::make_shared<std::map<std::string, unsigned>>();
+  fuzz::ProgramMutator Corrupt = offByOneShift(nullptr);
+  return [Seen, Corrupt](vir::VProgram &P) {
+    if (++(*Seen)[vir::printProgram(P)] % 2 == 0)
+      Corrupt(P);
+  };
+}
+
+TEST(FuzzMemo, KeysAfterTheMutator) {
+  fuzz::FuzzOptions Opts;
+  Opts.StartSeed = 1;
+  Opts.NumSeeds = 30;
+  Opts.Widths = {16, 32, 64};
+  Opts.Guards = true;
+  Opts.Reductions = true;
+  Opts.Jobs = 1;        // the mutator's state sees runs in sweep order
+  Opts.MaxFailures = 0; // no shrinking: it would feed the mutator too
+  Opts.Log = nullptr;
+  Opts.Mutator = corruptEverySecondSighting();
+  fuzz::FuzzStats Stats;
+  std::vector<obs::json::Value> Records = sweepRecords(Opts, Stats);
+
+  std::vector<fuzz::FuzzFailure> Expected;
+  expectRecordsMatchPerConfigPath(Opts, Records, corruptEverySecondSighting(),
+                                  Expected);
+  ASSERT_FALSE(Expected.empty()) << "the mutator never fired";
+  ASSERT_EQ(Stats.Failures.size(), Expected.size());
+  for (size_t K = 0; K < Expected.size(); ++K) {
+    SCOPED_TRACE("failure " + std::to_string(K));
+    EXPECT_EQ(Stats.Failures[K].Seed, Expected[K].Seed);
+    EXPECT_EQ(Stats.Failures[K].Config.name(), Expected[K].Config.name());
+    EXPECT_EQ(Stats.Failures[K].Kind, Expected[K].Kind);
+    EXPECT_EQ(Stats.Failures[K].Message, Expected[K].Message);
+  }
 }
 
 } // namespace

@@ -4,7 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Fuzzer.h"
 #include "ir/Loop.h"
+#include "native/NativeEmitter.h"
+#include "pipeline/Pipeline.h"
+#include "synth/LoopSynth.h"
 #include "vir/VPrinter.h"
 #include "vir/VProgram.h"
 #include "vir/VVerifier.h"
@@ -260,6 +264,86 @@ TEST_F(VirTest, VerifierCatchesOutOfRangeRegister) {
   VRegId Bogus{42}; // Never allocated.
   P.getSetup().push_back(VInst::makeVSplat(Bogus, 0, 4));
   EXPECT_NE(verifyProgram(P), std::nullopt);
+}
+
+TEST_F(VirTest, EqualProgramsPrintAndLowerAlike) {
+  // The fuzzer's memo lets programs that compare equal share one check,
+  // so equality must imply the same text and the same native kernel.
+  // Checked over every program the fuzzer compiles for seeds 1-40: each
+  // config's raw program and its optimized one, compared within a
+  // (seed, width), whose programs all come from one loop.
+  size_t EqualPairs = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    ir::Loop Src = synth::synthesizeLoop(
+        fuzz::paramsForSeed(Seed, 64, /*Guards=*/true, /*Reductions=*/true));
+    for (unsigned W : {16u, 32u, 64u}) {
+      std::vector<VProgram> Programs;
+      for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(Src, W)) {
+        pipeline::CompileResult R = pipeline::compileRaw(Src, C);
+        if (!R.Simd.ok())
+          continue;
+        Programs.push_back(*R.Simd.Program);
+        if (C.Opt == pipeline::OptLevel::Raw)
+          continue;
+        pipeline::optimize(R, C);
+        Programs.push_back(*R.Simd.Program);
+      }
+      // Each program against the first one equal to it; rendered once.
+      std::vector<std::string> Text(Programs.size()), Native(Programs.size());
+      auto Render = [&](size_t K) {
+        if (!Text[K].empty())
+          return;
+        Text[K] = printProgram(Programs[K]);
+        native::LowerResult N = native::emitNativeKernel(
+            Programs[K], Src, "kernel", native::ISA::Shim);
+        Native[K] = N.Code + N.Error;
+      };
+      for (size_t J = 0; J < Programs.size(); ++J) {
+        size_t I = 0;
+        while (!(Programs[I] == Programs[J]))
+          ++I;
+        if (I == J)
+          continue;
+        ++EqualPairs;
+        Render(I);
+        Render(J);
+        EXPECT_EQ(Text[I], Text[J]) << "seed " << Seed << " V=" << W;
+        EXPECT_EQ(Native[I], Native[J]) << "seed " << Seed << " V=" << W;
+      }
+    }
+  }
+  EXPECT_GT(EqualPairs, 0u);
+}
+
+TEST_F(VirTest, ProgramEqualityComparesWhatThePrinterHides) {
+  // The printer shows neither parameter values nor which array a comment
+  // names by pointer alone; equality must still tell them apart.
+  auto Make = [&](int64_t Trip, int64_t Scale, unsigned Step,
+                  const ir::Array *Named) {
+    VProgram P(16, 4);
+    SRegId TripReg = P.declareTripCountParam(Trip);
+    SRegId ScaleReg = P.declareScalarParam(0, Scale);
+    VRegId V0 = P.allocVReg();
+    VInst Splat = VInst::makeVSplatReg(V0, ScaleReg, 4);
+    Splat.Comment = "splat toward ";
+    Splat.CommentArray = Named;
+    P.getSetup().push_back(Splat);
+    P.setLoopBounds(ScalarOperand::imm(0), ScalarOperand::reg(TripReg));
+    if (Step)
+      P.setLoopStep(Step);
+    P.getBody().push_back(
+        VInst::makeVStore(Address::indexed(A, 0, P.getIndexReg()), V0));
+    return P;
+  };
+  VProgram Base = Make(40, 7, 0, A);
+  EXPECT_TRUE(Base == Make(40, 7, 0, A));
+  EXPECT_FALSE(Base == Make(41, 7, 0, A)) << "trip-count parameter value";
+  EXPECT_FALSE(Base == Make(40, 8, 0, A)) << "scalar parameter value";
+  EXPECT_FALSE(Base == Make(40, 7, 8, A)) << "loop step";
+  EXPECT_FALSE(Base == Make(40, 7, 0, B)) << "array a comment names";
+  EXPECT_EQ(printProgram(Base), printProgram(Make(41, 8, 0, A)));
+  EXPECT_EQ(printInst(Base.getSetup().front()),
+            "v0 = vsplat s2 x i32  ; splat toward a");
 }
 
 } // namespace

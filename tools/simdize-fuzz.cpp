@@ -264,6 +264,11 @@ int main(int Argc, char **Argv) {
               Stats.Failures.size(),
               static_cast<unsigned long long>(Stats.DuplicateFailures),
               Stats.HitTimeBudget ? " (time budget hit)" : "");
+  // Work counts go to stderr: stdout and the metrics stream report only
+  // what the sweep found, byte-identical however the work was shared.
+  std::fprintf(stderr, "%llu simdize calls, %llu VM checks\n",
+               static_cast<unsigned long long>(Stats.SimdizeCalls),
+               static_cast<unsigned long long>(Stats.VmChecks));
   for (const auto &F : Stats.Failures)
     std::printf("  seed %llu %s [%s]: %s%s%s\n",
                 static_cast<unsigned long long>(F.Seed),
