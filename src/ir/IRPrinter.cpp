@@ -10,79 +10,109 @@
 #include "support/Debug.h"
 #include "support/Format.h"
 
-#include <sstream>
+#include <algorithm>
+#include <string_view>
 
 using namespace simdize;
 using namespace simdize::ir;
 
-static std::string printIndex(int64_t Offset) {
-  if (Offset == 0)
-    return "i";
-  if (Offset > 0)
-    return strf("i+%lld", static_cast<long long>(Offset));
-  return strf("i-%lld", static_cast<long long>(-Offset));
+// printExpr, printStmt and printParseable append into one string: the
+// server prints a loop's parseable text on every request that misses its
+// raw-text memo.
+
+/// "a[i]", "a[i+3]", "a[i-2]".
+static void appendElem(std::string &Out, const Array *A, int64_t Offset) {
+  append(Out, A->getName(), Offset > 0 ? "[i+" : "[i");
+  if (Offset != 0)
+    append(Out, Offset);
+  Out += ']';
 }
 
-std::string ir::printExpr(const Expr &E) {
+static bool isCallSyntax(BinOpKind Op) {
+  return Op == BinOpKind::Min || Op == BinOpKind::Max;
+}
+
+static void appendExpr(std::string &Out, const Expr &E) {
   switch (E.getKind()) {
   case ExprKind::ArrayRef: {
     const auto &Ref = cast<ArrayRefExpr>(E);
-    return strf("%s[%s]", Ref.getArray()->getName().c_str(),
-                printIndex(Ref.getOffset()).c_str());
+    appendElem(Out, Ref.getArray(), Ref.getOffset());
+    return;
   }
   case ExprKind::Splat:
-    return strf("%lld", static_cast<long long>(cast<SplatExpr>(E).getValue()));
+    append(Out, cast<SplatExpr>(E).getValue());
+    return;
   case ExprKind::Param:
-    return cast<ParamExpr>(E).getParam()->getName();
+    Out += cast<ParamExpr>(E).getParam()->getName();
+    return;
   case ExprKind::BinOp: {
     const auto &BO = cast<BinOpExpr>(E);
     // Min/Max print as calls; everything else infix, with nested binops
     // parenthesized for unambiguous golden-test output.
-    if (BO.getOp() == BinOpKind::Min || BO.getOp() == BinOpKind::Max)
-      return strf("%s(%s, %s)", binOpSpelling(BO.getOp()),
-                  printExpr(BO.getLHS()).c_str(),
-                  printExpr(BO.getRHS()).c_str());
-    auto Operand = [](const Expr &Op) {
-      std::string S = printExpr(Op);
+    if (isCallSyntax(BO.getOp())) {
+      append(Out, binOpSpelling(BO.getOp()), '(');
+      appendExpr(Out, BO.getLHS());
+      Out += ", ";
+      appendExpr(Out, BO.getRHS());
+      Out += ')';
+      return;
+    }
+    auto Operand = [&Out](const Expr &Op) {
       // Call-syntax operands (min/max) are already unambiguous.
-      if (const auto *Nested = dyn_cast<BinOpExpr>(Op);
-          Nested && Nested->getOp() != BinOpKind::Min &&
-          Nested->getOp() != BinOpKind::Max)
-        return "(" + S + ")";
-      return S;
+      const auto *Nested = dyn_cast<BinOpExpr>(Op);
+      bool Paren = Nested && !isCallSyntax(Nested->getOp());
+      if (Paren)
+        Out += '(';
+      appendExpr(Out, Op);
+      if (Paren)
+        Out += ')';
     };
-    return strf("%s %s %s", Operand(BO.getLHS()).c_str(),
-                binOpSpelling(BO.getOp()), Operand(BO.getRHS()).c_str());
+    Operand(BO.getLHS());
+    append(Out, ' ', binOpSpelling(BO.getOp()), ' ');
+    Operand(BO.getRHS());
+    return;
   }
   }
   simdize_unreachable("unknown expression kind");
 }
 
-/// One statement in the loop parser's dialect, without a terminator; the
-/// C-like print adds ';', the parseable print a newline.
-static std::string stmtText(const Stmt &S) {
-  switch (S.getKind()) {
-  case StmtKind::Assign:
-    return strf("%s[%s] = %s", S.getStoreArray()->getName().c_str(),
-                printIndex(S.getStoreOffset()).c_str(),
-                printExpr(S.getRHS()).c_str());
-  case StmtKind::If:
-    return strf("if (%s %s %s) %s[%s] = %s",
-                printExpr(S.getGuardLHS()).c_str(),
-                cmpSpelling(S.getCmpKind()), printExpr(S.getGuardRHS()).c_str(),
-                S.getStoreArray()->getName().c_str(),
-                printIndex(S.getStoreOffset()).c_str(),
-                printExpr(S.getRHS()).c_str());
-  case StmtKind::Reduce:
-    // The accumulator index is absolute (no loop counter).
-    return strf("%s[%lld] %s= %s", S.getStoreArray()->getName().c_str(),
-                static_cast<long long>(S.getStoreOffset()),
-                binOpSpelling(S.getReduceOp()), printExpr(S.getRHS()).c_str());
-  }
-  simdize_unreachable("unknown statement kind");
+std::string ir::printExpr(const Expr &E) {
+  std::string Out;
+  appendExpr(Out, E);
+  return Out;
 }
 
-std::string ir::printStmt(const Stmt &S) { return stmtText(S) + ";"; }
+/// One statement in the loop parser's dialect, without a terminator; the
+/// C-like print adds ';', the parseable print a newline.
+static void appendStmt(std::string &Out, const Stmt &S) {
+  switch (S.getKind()) {
+  case StmtKind::Assign:
+    break;
+  case StmtKind::If:
+    Out += "if (";
+    appendExpr(Out, S.getGuardLHS());
+    append(Out, ' ', cmpSpelling(S.getCmpKind()), ' ');
+    appendExpr(Out, S.getGuardRHS());
+    Out += ") ";
+    break;
+  case StmtKind::Reduce:
+    // The accumulator index is absolute (no loop counter).
+    append(Out, S.getStoreArray()->getName(), '[', S.getStoreOffset(), "] ",
+           binOpSpelling(S.getReduceOp()), "= ");
+    appendExpr(Out, S.getRHS());
+    return;
+  }
+  appendElem(Out, S.getStoreArray(), S.getStoreOffset());
+  Out += " = ";
+  appendExpr(Out, S.getRHS());
+}
+
+std::string ir::printStmt(const Stmt &S) {
+  std::string Out;
+  appendStmt(Out, S);
+  Out += ';';
+  return Out;
+}
 
 std::string ir::printLoop(const Loop &L) {
   std::string Out = "// ";
@@ -111,28 +141,27 @@ std::string ir::printLoop(const Loop &L) {
 
 std::string ir::printParseable(const Loop &L, const std::string &Header) {
   std::string Out;
-  std::istringstream In(Header);
-  for (std::string Line; std::getline(In, Line);)
-    Out += "# " + Line + "\n";
-
-  for (const auto &A : L.getArrays()) {
-    // The "byte" marker is required exactly when the base is not an
-    // element-size multiple (the Section 7 extension).
-    std::string Align = A->isNaturallyAligned() ? "" : "byte ";
-    if (A->isAlignmentKnown())
-      Align += strf("%u", A->getAlignment());
-    else
-      Align += strf("? %u", A->getAlignment());
-    Out += strf("array %s %s %lld align %s\n", A->getName().c_str(),
-                elemTypeName(A->getElemType()),
-                static_cast<long long>(A->getNumElems()), Align.c_str());
+  std::string_view Lines = Header;
+  for (size_t Pos = 0; Pos < Lines.size();) {
+    size_t End = std::min(Lines.find('\n', Pos), Lines.size());
+    append(Out, "# ", Lines.substr(Pos, End - Pos), '\n');
+    Pos = End + 1;
   }
+
+  // The "byte" marker is required exactly when the base is not an
+  // element-size multiple (the Section 7 extension).
+  for (const auto &A : L.getArrays())
+    append(Out, "array ", A->getName(), ' ', elemTypeName(A->getElemType()),
+           ' ', A->getNumElems(), " align ",
+           A->isNaturallyAligned() ? "" : "byte ",
+           A->isAlignmentKnown() ? "" : "? ", A->getAlignment(), '\n');
   for (const auto &P : L.getParams())
-    Out += strf("param %s %lld\n", P->getName().c_str(),
-                static_cast<long long>(P->getActualValue()));
-  Out += strf("loop %s%lld\n", L.isUpperBoundKnown() ? "" : "runtime ",
-              static_cast<long long>(L.getUpperBound()));
-  for (const auto &S : L.getStmts())
-    Out += stmtText(*S) + "\n";
+    append(Out, "param ", P->getName(), ' ', P->getActualValue(), '\n');
+  append(Out, L.isUpperBoundKnown() ? "loop " : "loop runtime ",
+         L.getUpperBound(), '\n');
+  for (const auto &S : L.getStmts()) {
+    appendStmt(Out, *S);
+    Out += '\n';
+  }
   return Out;
 }

@@ -20,10 +20,16 @@ using namespace simdize::obs::json;
 // Writer
 //===----------------------------------------------------------------------===//
 
-std::string json::escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
+/// Appends \p S escaped. Runs of bytes that need no escape are copied in
+/// one append; control characters become \u00XX.
+static void appendEscaped(std::string &Out, std::string_view S) {
+  size_t Run = 0;
+  for (size_t I = 0; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -41,12 +47,18 @@ std::string json::escape(const std::string &S) {
       Out += "\\t";
       break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strf("\\u%04x", C);
-      else
-        Out += C;
+      Out += "\\u00";
+      Out += "0123456789abcdef"[C >> 4];
+      Out += "0123456789abcdef"[C & 0xf];
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+std::string json::escape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }
 
@@ -97,38 +109,36 @@ Writer &Writer::endArray() {
   return *this;
 }
 
-Writer &Writer::key(const std::string &K) {
+Writer &Writer::key(std::string_view K) {
   assert(!IsObject.empty() && IsObject.back() && !PendingKey &&
          "key() outside an object");
   if (HasElems.back())
     Out += ',';
   HasElems.back() = true;
   Out += '"';
-  Out += escape(K);
+  appendEscaped(Out, K);
   Out += "\":";
   PendingKey = true;
   return *this;
 }
 
-Writer &Writer::value(const std::string &V) {
+Writer &Writer::stringValue(std::string_view V) {
   separate();
   Out += '"';
-  Out += escape(V);
+  appendEscaped(Out, V);
   Out += '"';
   return *this;
 }
 
-Writer &Writer::value(const char *V) { return value(std::string(V)); }
-
 Writer &Writer::value(int64_t V) {
   separate();
-  Out += strf("%lld", static_cast<long long>(V));
+  append(Out, V);
   return *this;
 }
 
 Writer &Writer::value(uint64_t V) {
   separate();
-  Out += strf("%llu", static_cast<unsigned long long>(V));
+  append(Out, V);
   return *this;
 }
 

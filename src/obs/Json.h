@@ -15,6 +15,8 @@
 /// order and doubles are formatted with %.17g (shortest round-trippable
 /// form is not needed; byte-stable output across runs is). NaN and
 /// infinities are not representable in JSON and are emitted as null.
+/// Strings are escaped straight into the output, and integers are written
+/// with std::to_chars: the server renders every response through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +37,7 @@ namespace obs {
 namespace json {
 
 /// Escapes \p S for inclusion in a JSON string literal (no quotes added).
-std::string escape(const std::string &S);
+std::string escape(std::string_view S);
 
 /// Streaming JSON writer appending to a caller-owned string. Scopes are
 /// explicit (beginObject/endObject, beginArray/endArray); the writer
@@ -49,10 +52,10 @@ public:
   Writer &endArray();
 
   /// Emits an object key; the next emission must be its value.
-  Writer &key(const std::string &K);
+  Writer &key(std::string_view K);
 
-  Writer &value(const std::string &V);
-  Writer &value(const char *V);
+  Writer &value(const std::string &V) { return stringValue(V); }
+  Writer &value(const char *V) { return stringValue(V); }
   Writer &value(int64_t V);
   Writer &value(uint64_t V);
   Writer &value(unsigned V) { return value(static_cast<uint64_t>(V)); }
@@ -68,13 +71,14 @@ public:
   Writer &raw(const std::string &Fragment);
 
   /// key() + value() in one call.
-  template <typename T> Writer &field(const std::string &K, T &&V) {
+  template <typename T> Writer &field(std::string_view K, T &&V) {
     key(K);
     return value(std::forward<T>(V));
   }
 
 private:
   void separate();
+  Writer &stringValue(std::string_view V);
 
   std::string &Out;
   /// One entry per open scope: true for objects (which alternate between

@@ -6,7 +6,8 @@
 
 #include "server/Cache.h"
 
-#include "support/Hash.h"
+#include <functional>
+#include <string_view>
 
 using namespace simdize;
 using namespace simdize::server;
@@ -26,11 +27,11 @@ std::string CompileCache::keyOf(const std::string &LoopText,
 }
 
 uint64_t CompileCache::checksumOf(const Entry &E) {
-  uint64_t H = fnv1a(E.ProgramText);
-  H = fnv1a("\x1f", H);
-  H = fnv1a(E.Result.ConfigName, H);
-  H = fnv1a("\x1f", H);
-  return fnv1a(E.Result.error(), H);
+  // Each step is a bijection in both the running sum and the field's hash.
+  std::hash<std::string_view> Hash;
+  uint64_t Sum = Hash(E.ProgramText);
+  Sum = (Sum ^ Hash(E.Result.ConfigName)) * 0x9e3779b97f4a7c15ULL;
+  return (Sum ^ Hash(E.Result.error())) * 0x9e3779b97f4a7c15ULL;
 }
 
 CompileCache::Outcome CompileCache::find(const std::string &Key,
@@ -43,12 +44,13 @@ CompileCache::Outcome CompileCache::find(const std::string &Key,
   }
   if (checksumOf(*It->second.E) != It->second.E->Checksum) {
     // Poisoned: evict so the next identical request recompiles cleanly.
+    Lru.remove(It->second.Recency);
     Map.erase(It);
     ++St.Poisoned;
     return Outcome::Poisoned;
   }
   ++St.Hits;
-  It->second.Tick = ++Tick;
+  Lru.touch(It->second.Recency);
   Out = It->second.E;
   return Outcome::Hit;
 }
@@ -61,7 +63,7 @@ CompileCache::Outcome CompileCache::peek(const std::string &Key) {
   if (checksumOf(*It->second.E) != It->second.E->Checksum)
     return Outcome::Poisoned;
   ++St.Hits;
-  It->second.Tick = ++Tick;
+  Lru.touch(It->second.Recency);
   return Outcome::Hit;
 }
 
@@ -69,11 +71,15 @@ std::shared_ptr<CompileCache::Entry>
 CompileCache::insert(const std::string &Key, std::shared_ptr<Entry> E) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto [It, Inserted] = Map.try_emplace(Key);
-  if (Inserted)
+  if (Inserted) {
     It->second.E = std::move(E);
-  It->second.Tick = ++Tick;
-  evictOverflowLocked();
-  return It->second.E;
+    It->second.Recency = Lru.add(It->first);
+  } else {
+    Lru.touch(It->second.Recency);
+  }
+  std::shared_ptr<Entry> Result = It->second.E;
+  St.Evictions += static_cast<int64_t>(Lru.evictOverflow(Map, Max));
+  return Result;
 }
 
 bool CompileCache::findVerdict(const std::string &Key, uint64_t Seed,
@@ -117,17 +123,6 @@ void CompileCache::recordAlias(const std::string &TextKey,
   if (Aliases.size() >= 4096 + 4 * Max)
     Aliases.clear();
   Aliases[TextKey] = Key;
-}
-
-void CompileCache::evictOverflowLocked() {
-  while (Max != 0 && Map.size() > Max) {
-    auto Oldest = Map.begin();
-    for (auto I = Map.begin(); I != Map.end(); ++I)
-      if (I->second.Tick < Oldest->second.Tick)
-        Oldest = I;
-    Map.erase(Oldest);
-    ++St.Evictions;
-  }
 }
 
 CompileCache::Stats CompileCache::stats() const {

@@ -23,8 +23,10 @@
 /// canonical program text, and a map of per-seed check verdicts. Entries
 /// carry an integrity checksum over their immutable payload; a hit whose
 /// bytes no longer match (a poisoned entry) is evicted and surfaced as a
-/// structured error, never served. Capacity is bounded with LRU eviction;
-/// entries are shared_ptr so eviction never invalidates an in-flight
+/// structured error, never served. Capacity is bounded with LRU eviction
+/// in O(1): a recency list (support/LruOrder.h) that every answering
+/// lookup splices its entry to the front of, and eviction pops the back.
+/// Entries are shared_ptr so eviction never invalidates an in-flight
 /// request. Deterministic compilation makes races benign: concurrent
 /// misses on one key build byte-identical entries and the first insert
 /// wins.
@@ -36,6 +38,7 @@
 
 #include "ir/Loop.h"
 #include "pipeline/Pipeline.h"
+#include "support/LruOrder.h"
 
 #include <cstdint>
 #include <map>
@@ -64,8 +67,8 @@ public:
     /// Canonical vir::printProgram text; empty when the pipeline rejected
     /// the loop (rejections are deterministic and cached too).
     std::string ProgramText;
-    /// FNV-1a over the immutable payload (checksumOf); verified on every
-    /// hit so a corrupted entry is detected instead of served.
+    /// checksumOf() at insert; verified on every hit so a corrupted entry
+    /// is detected instead of served.
     uint64_t Checksum = 0;
   };
 
@@ -86,11 +89,14 @@ public:
   static std::string keyOf(const std::string &LoopText,
                            const pipeline::CompileRequest &Req);
 
-  /// The integrity checksum an entry must carry.
+  /// The integrity checksum an entry must carry: std::hash (libstdc++'s
+  /// word-at-a-time Murmur hash) of the program text, the config name and
+  /// the error text, chained so that a change to any one field changes
+  /// the sum whenever it changes that field's hash.
   static uint64_t checksumOf(const Entry &E);
 
-  /// Looks up \p Key. Hit: \p Out is set and the entry's LRU tick
-  /// refreshed. Poisoned: the entry failed its checksum; it is evicted
+  /// Looks up \p Key. Hit: \p Out is set and the entry becomes the most
+  /// recently used. Poisoned: the entry failed its checksum; it is evicted
   /// (so the next identical request recompiles) and \p Out left empty.
   Outcome find(const std::string &Key, std::shared_ptr<Entry> &Out);
 
@@ -98,14 +104,15 @@ public:
   /// Poisoned or Miss outcome mutates nothing and counts nothing — the
   /// caller falls through to the full path, where find() evicts, counts,
   /// and surfaces the structured error exactly as it always did. Only a
-  /// clean Hit counts (and refreshes the LRU tick), since it answers the
-  /// request.
+  /// clean Hit counts (and makes the entry the most recently used), since
+  /// it answers the request.
   Outcome peek(const std::string &Key);
 
-  /// Inserts \p E under \p Key, evicting the least-recently-used entry
-  /// when over capacity. First writer wins: if a concurrent miss already
-  /// inserted this key, the existing entry is returned instead, so every
-  /// caller responds from one canonical entry.
+  /// Inserts \p E under \p Key as the most recently used entry, evicting
+  /// the least recently used one when over capacity. First writer wins: if
+  /// a concurrent miss already inserted this key, the existing entry is
+  /// returned instead (and refreshed), so every caller responds from one
+  /// canonical entry.
   std::shared_ptr<Entry> insert(const std::string &Key,
                                 std::shared_ptr<Entry> E);
 
@@ -133,16 +140,14 @@ private:
   struct Slot {
     std::shared_ptr<Entry> E;
     std::map<uint64_t, Verdict> Verdicts;
-    uint64_t Tick = 0;
+    LruOrder<std::string>::Position Recency;
   };
-
-  void evictOverflowLocked();
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, Slot> Map;
+  LruOrder<std::string> Lru; ///< Map's keys, most recently used first.
   std::unordered_map<std::string, std::string> Aliases; ///< Raw -> canonical.
   size_t Max;
-  uint64_t Tick = 0;
   Stats St;
 };
 

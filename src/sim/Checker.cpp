@@ -31,14 +31,14 @@ ReferenceImage::ReferenceImage(const ir::Loop &L, unsigned VectorLen,
 std::shared_ptr<const ReferenceImage>
 ReferenceImageCache::get(const std::string &LoopKey, const ir::Loop &L,
                          unsigned VectorLen, uint64_t Seed) {
-  std::string Key = strf("%s\x1f%u\x1f%llu", LoopKey.c_str(), VectorLen,
-                         static_cast<unsigned long long>(Seed));
+  std::string Key = LoopKey;
+  append(Key, '\x1f', VectorLen, '\x1f', Seed);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Map.find(Key);
     if (It != Map.end()) {
       ++St.Hits;
-      It->second.Tick = ++Tick;
+      Lru.touch(It->second.Recency);
       return It->second.Img;
     }
     ++St.Misses;
@@ -50,18 +50,15 @@ ReferenceImageCache::get(const std::string &LoopKey, const ir::Loop &L,
 
   std::lock_guard<std::mutex> Lock(Mu);
   auto [It, Inserted] = Map.try_emplace(std::move(Key));
-  if (Inserted)
+  if (Inserted) {
     It->second.Img = std::move(Img);
-  It->second.Tick = ++Tick;
-  if (Max != 0 && Map.size() > Max) {
-    auto Oldest = Map.begin();
-    for (auto I = Map.begin(); I != Map.end(); ++I)
-      if (I->second.Tick < Oldest->second.Tick)
-        Oldest = I;
-    Map.erase(Oldest);
-    ++St.Evictions;
+    It->second.Recency = Lru.add(It->first);
+  } else {
+    Lru.touch(It->second.Recency);
   }
-  return It->second.Img;
+  std::shared_ptr<const ReferenceImage> Result = It->second.Img;
+  St.Evictions += static_cast<int64_t>(Lru.evictOverflow(Map, Max));
+  return Result;
 }
 
 ReferenceImageCache::Stats ReferenceImageCache::stats() const {

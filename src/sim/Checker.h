@@ -31,6 +31,7 @@
 #include "sim/Decoder.h"
 #include "sim/Machine.h"
 #include "sim/Memory.h"
+#include "support/LruOrder.h"
 
 #include <memory>
 #include <mutex>
@@ -91,9 +92,11 @@ private:
 /// indexed by array declaration order, so an image built from one parse
 /// serves every parse of the same text. Entries are handed out as
 /// shared_ptr so LRU eviction never invalidates a borrower; MaxEntries of
-/// 0 means unbounded. The compile server shares one across requests so
-/// millions of check requests re-verify a small working set of loops
-/// without rebuilding the scalar oracle each time.
+/// 0 means unbounded. A hit makes its image the most recently used in
+/// O(1), and eviction drops the least recently used (support/LruOrder.h).
+/// The compile server shares one across requests so millions of check
+/// requests re-verify a small working set of loops without rebuilding the
+/// scalar oracle each time.
 class ReferenceImageCache {
 public:
   struct Stats {
@@ -118,13 +121,13 @@ public:
 private:
   struct Slot {
     std::shared_ptr<const ReferenceImage> Img;
-    uint64_t Tick = 0;
+    LruOrder<std::string>::Position Recency;
   };
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, Slot> Map; ///< LoopKey \x1f V \x1f Seed.
+  LruOrder<std::string> Lru; ///< Map's keys, most recently used first.
   size_t Max;
-  uint64_t Tick = 0;
   Stats St;
 };
 

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The project's one 64-bit FNV-1a: native .so cache keys, server entry
-/// checksums, and the hashes diagnostics print. The server's caches
-/// compare content rather than trust it.
+/// The project's one 64-bit FNV-1a: native .so cache keys, the interner's
+/// bucket hash, flight-record payload hashes and the hashes diagnostics
+/// print. The server's caches compare content rather than trust it, and
+/// their entry checksums use std::hash, which reads words, not bytes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,111 +14,130 @@
 using namespace simdize;
 using namespace simdize::vir;
 
-static std::string printSOp(const ScalarOperand &Op) {
+// The printers append into one string: the server prints a whole program
+// on every compile miss.
+
+static void appendSOp(std::string &Out, const ScalarOperand &Op) {
   if (Op.IsReg)
-    return strf("s%u", Op.Reg.Id);
-  return strf("%lld", static_cast<long long>(Op.Imm));
+    append(Out, 's', Op.Reg.Id);
+  else
+    append(Out, Op.Imm);
 }
 
-static std::string printAddr(const Address &A) {
-  std::string Index =
-      A.Index ? strf("s%u", A.Index->Id)
-              : strf("%lld", static_cast<long long>(A.ConstIndex));
-  if (A.ElemOffset == 0)
-    return strf("&%s[%s]", A.Base->getName().c_str(), Index.c_str());
-  return strf("&%s[(%s)%+lld]", A.Base->getName().c_str(), Index.c_str(),
-              static_cast<long long>(A.ElemOffset));
+static void appendAddr(std::string &Out, const Address &A) {
+  append(Out, '&', A.Base->getName(), A.ElemOffset == 0 ? "[" : "[(");
+  if (A.Index)
+    append(Out, 's', A.Index->Id);
+  else
+    append(Out, A.ConstIndex);
+  if (A.ElemOffset != 0)
+    append(Out, A.ElemOffset > 0 ? ")+" : ")", A.ElemOffset);
+  Out += ']';
+}
+
+static void appendComment(std::string &Out, const VInst &I) {
+  Out += I.Comment;
+  if (I.CommentArray)
+    Out += I.CommentArray->getName();
+  if (I.CommentParam)
+    Out += I.CommentParam->getName();
+}
+
+static void appendInst(std::string &Out, const VInst &I) {
+  if (I.Predicate)
+    append(Out, "[if s", I.Predicate->Id, "] ");
+  switch (I.Op) {
+  case VOpcode::VLoad:
+    append(Out, 'v', I.VDst.Id, " = vload ");
+    appendAddr(Out, I.Addr);
+    break;
+  case VOpcode::VStore:
+    Out += "vstore ";
+    appendAddr(Out, I.Addr);
+    append(Out, ", v", I.VSrc1.Id);
+    break;
+  case VOpcode::VSplat:
+    append(Out, 'v', I.VDst.Id, " = vsplat ");
+    appendSOp(Out, I.SOp1);
+    append(Out, " x i", I.ElemSize * 8);
+    break;
+  case VOpcode::VShiftPair:
+  case VOpcode::VSplice:
+    append(Out, 'v', I.VDst.Id,
+           I.Op == VOpcode::VShiftPair ? " = vshiftpair v" : " = vsplice v",
+           I.VSrc1.Id, ", v", I.VSrc2.Id, ", ");
+    appendSOp(Out, I.SOp1);
+    break;
+  case VOpcode::VBinOp:
+    append(Out, 'v', I.VDst.Id, " = v", ir::binOpMnemonic(I.VectorOp), ".i",
+           I.ElemSize * 8, " v", I.VSrc1.Id, ", v", I.VSrc2.Id);
+    break;
+  case VOpcode::VCmp:
+    append(Out, 'v', I.VDst.Id, " = vcmp.", sCmpName(I.CmpOp), ".i",
+           I.ElemSize * 8, " v", I.VSrc1.Id, ", v", I.VSrc2.Id);
+    break;
+  case VOpcode::VSelect:
+    append(Out, 'v', I.VDst.Id, " = vselect v", I.VSrc1.Id, ", v", I.VSrc2.Id,
+           ", v", I.VSrc3.Id);
+    break;
+  case VOpcode::VCopy:
+    append(Out, 'v', I.VDst.Id, " = vcopy v", I.VSrc1.Id);
+    break;
+  case VOpcode::SConst:
+    append(Out, 's', I.SDst.Id, " = sconst ", I.Imm);
+    break;
+  case VOpcode::SBase:
+    append(Out, 's', I.SDst.Id, " = sbase ", I.Addr.Base->getName());
+    break;
+  case VOpcode::SBinOp:
+  case VOpcode::SCmp:
+    if (I.Op == VOpcode::SBinOp)
+      append(Out, 's', I.SDst.Id, " = s", sBinOpName(I.ScalarOp), ' ');
+    else
+      append(Out, 's', I.SDst.Id, " = scmp.", sCmpName(I.CmpOp), ' ');
+    appendSOp(Out, I.SOp1);
+    Out += ", ";
+    appendSOp(Out, I.SOp2);
+    break;
+  }
+  if (I.Comment) {
+    Out += "  ; ";
+    appendComment(Out, I);
+  }
 }
 
 std::string vir::printInst(const VInst &I) {
   std::string S;
-  switch (I.Op) {
-  case VOpcode::VLoad:
-    S = strf("v%u = vload %s", I.VDst.Id, printAddr(I.Addr).c_str());
-    break;
-  case VOpcode::VStore:
-    S = strf("vstore %s, v%u", printAddr(I.Addr).c_str(), I.VSrc1.Id);
-    break;
-  case VOpcode::VSplat:
-    if (I.SOp1.IsReg)
-      S = strf("v%u = vsplat s%u x i%u", I.VDst.Id, I.SOp1.Reg.Id,
-               I.ElemSize * 8);
-    else
-      S = strf("v%u = vsplat %lld x i%u", I.VDst.Id,
-               static_cast<long long>(I.SOp1.Imm), I.ElemSize * 8);
-    break;
-  case VOpcode::VShiftPair:
-    S = strf("v%u = vshiftpair v%u, v%u, %s", I.VDst.Id, I.VSrc1.Id,
-             I.VSrc2.Id, printSOp(I.SOp1).c_str());
-    break;
-  case VOpcode::VSplice:
-    S = strf("v%u = vsplice v%u, v%u, %s", I.VDst.Id, I.VSrc1.Id, I.VSrc2.Id,
-             printSOp(I.SOp1).c_str());
-    break;
-  case VOpcode::VBinOp:
-    S = strf("v%u = v%s.i%u v%u, v%u", I.VDst.Id,
-             ir::binOpMnemonic(I.VectorOp), I.ElemSize * 8, I.VSrc1.Id,
-             I.VSrc2.Id);
-    break;
-  case VOpcode::VCmp:
-    S = strf("v%u = vcmp.%s.i%u v%u, v%u", I.VDst.Id, sCmpName(I.CmpOp),
-             I.ElemSize * 8, I.VSrc1.Id, I.VSrc2.Id);
-    break;
-  case VOpcode::VSelect:
-    S = strf("v%u = vselect v%u, v%u, v%u", I.VDst.Id, I.VSrc1.Id, I.VSrc2.Id,
-             I.VSrc3.Id);
-    break;
-  case VOpcode::VCopy:
-    S = strf("v%u = vcopy v%u", I.VDst.Id, I.VSrc1.Id);
-    break;
-  case VOpcode::SConst:
-    S = strf("s%u = sconst %lld", I.SDst.Id, static_cast<long long>(I.Imm));
-    break;
-  case VOpcode::SBase:
-    S = strf("s%u = sbase %s", I.SDst.Id, I.Addr.Base->getName().c_str());
-    break;
-  case VOpcode::SBinOp:
-    S = strf("s%u = s%s %s, %s", I.SDst.Id, sBinOpName(I.ScalarOp),
-             printSOp(I.SOp1).c_str(), printSOp(I.SOp2).c_str());
-    break;
-  case VOpcode::SCmp:
-    S = strf("s%u = scmp.%s %s, %s", I.SDst.Id, sCmpName(I.CmpOp),
-             printSOp(I.SOp1).c_str(), printSOp(I.SOp2).c_str());
-    break;
-  }
-  if (I.Predicate)
-    S = strf("[if s%u] ", I.Predicate->Id) + S;
-  if (I.Comment)
-    S += "  ; " + commentText(I);
+  appendInst(S, I);
   return S;
 }
 
 std::string vir::commentText(const VInst &I) {
-  if (!I.Comment)
-    return std::string();
-  std::string S = I.Comment;
-  if (I.CommentArray)
-    S += I.CommentArray->getName();
-  if (I.CommentParam)
-    S += I.CommentParam->getName();
+  std::string S;
+  if (I.Comment)
+    appendComment(S, I);
   return S;
 }
 
-static void printBlock(std::string &Out, const Block &B) {
-  for (const VInst &I : B)
-    Out += "  " + printInst(I) + "\n";
+static void appendBlock(std::string &Out, const Block &B) {
+  for (const VInst &I : B) {
+    Out += "  ";
+    appendInst(Out, I);
+    Out += '\n';
+  }
 }
 
 std::string vir::printProgram(const VProgram &P) {
-  std::string Out;
-  Out += "setup:\n";
-  printBlock(Out, P.getSetup());
-  Out += strf("loop s%u = %s, s%u < %s, s%u += %u:\n", P.getIndexReg().Id,
-              printSOp(P.getLowerBound()).c_str(), P.getIndexReg().Id,
-              printSOp(P.getUpperBound()).c_str(), P.getIndexReg().Id,
-              P.getLoopStep());
-  printBlock(Out, P.getBody());
+  unsigned Index = P.getIndexReg().Id;
+  std::string Out = "setup:\n";
+  appendBlock(Out, P.getSetup());
+  append(Out, "loop s", Index, " = ");
+  appendSOp(Out, P.getLowerBound());
+  append(Out, ", s", Index, " < ");
+  appendSOp(Out, P.getUpperBound());
+  append(Out, ", s", Index, " += ", P.getLoopStep(), ":\n");
+  appendBlock(Out, P.getBody());
   Out += "epilogue:\n";
-  printBlock(Out, P.getEpilogue());
+  appendBlock(Out, P.getEpilogue());
   return Out;
 }

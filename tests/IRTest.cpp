@@ -133,6 +133,60 @@ TEST(Printer, NestedParenthesesAndOffsets) {
   EXPECT_EQ(printExpr(*E), "(a[i] + -2) * b[i+3]");
 }
 
+TEST(Printer, ReduceAndNestedGuardStatements) {
+  Loop L;
+  Array *Acc = L.createArray("acc", ElemType::Int32, 8, 0, true);
+  Array *G = L.createArray("g", ElemType::Int32, 64, 0, true);
+  Array *X = L.createArray("x", ElemType::Int32, 64, 0, true);
+  Param *K = L.createParam("k", 5);
+  L.addReduceStmt(Acc, 3, BinOpKind::Max, bitXor(ref(X, 0), splat(-1)));
+  // Call-syntax operands stay bare inside an infix operator; an infix
+  // operand of a call is not parenthesized either.
+  L.addIfStmt(G, -1, param(K),
+              sub(max(ref(X, 2), splat(0)), min(ref(X, 0), param(K))),
+              CmpKind::GE, add(ref(G, 1), mul(ref(X, 1), splat(3))));
+
+  EXPECT_EQ(printStmt(*L.getStmts()[0]), "acc[3] max= x[i] ^ -1;");
+  EXPECT_EQ(printStmt(*L.getStmts()[1]),
+            "if (max(x[i+2], 0) - min(x[i], k) >= g[i+1] + (x[i+1] * 3)) "
+            "g[i-1] = k;");
+  EXPECT_EQ(printExpr(*min(add(ref(X, 0), splat(1)), max(ref(G, 0), param(K)))),
+            "min(x[i] + 1, max(g[i], k))");
+}
+
+TEST(Printer, ParseableCoversEveryDeclarationForm) {
+  Loop L;
+  Array *A = L.createArray("a", ElemType::Int16, 96, 6, true);
+  Array *B = L.createArray("b", ElemType::Int16, 96, 10, false);
+  Array *C = L.createArray("c", ElemType::Int16, 96, 3, true);
+  Array *D = L.createArray("d", ElemType::Int16, 96, 7, false);
+  Array *S = L.createArray("s", ElemType::Int16, 4, 0, true);
+  Param *Alpha = L.createParam("alpha", -7);
+  L.createParam("beta", 0);
+  L.addStmt(A, 2, add(mul(param(Alpha), ref(B, 1)), ref(C, 0)));
+  L.addReduceStmt(S, 0, BinOpKind::Add, ref(D, 3));
+  L.setUpperBound(90, false);
+
+  EXPECT_EQ(printParseable(L, "first\nsecond"),
+            "# first\n"
+            "# second\n"
+            "array a i16 96 align 6\n"
+            "array b i16 96 align ? 10\n"
+            "array c i16 96 align byte 3\n"
+            "array d i16 96 align byte ? 7\n"
+            "array s i16 4 align 0\n"
+            "param alpha -7\n"
+            "param beta 0\n"
+            "loop runtime 90\n"
+            "a[i+2] = (alpha * b[i+1]) + c[i]\n"
+            "s[0] += d[i+3]\n");
+
+  L.setUpperBound(64, true);
+  std::string Known = printParseable(L);
+  EXPECT_EQ(Known.substr(0, 8), "array a ");
+  EXPECT_NE(Known.find("\nloop 64\n"), std::string::npos);
+}
+
 TEST(Verifier, AcceptsWellFormedLoop) {
   Loop L;
   Array *A = L.createArray("a", ElemType::Int32, 110, 0, true);

@@ -109,6 +109,31 @@ TEST(ObsJson, EscapesStrings) {
   EXPECT_EQ(V->find("s")->Str, "a\"b\\c\n\t");
 }
 
+TEST(ObsJson, WriterOutputIsExact) {
+  std::string Out = "prefix:";
+  obs::json::Writer W(Out);
+  W.beginObject()
+      .field("k\"\x01", std::string("x\r\x1f\x7f\xc3\xa9y\0z", 9))
+      .field("plain", "no escapes at all")
+      .field("empty", "")
+      .field("min", std::numeric_limits<int64_t>::min())
+      .field("max", std::numeric_limits<uint64_t>::max())
+      .field("neg", -42)
+      .field("zero", 0u)
+      .field("d", 0.1)
+      .field("big", 1e300)
+      .field("f", false);
+  W.key("a").beginArray().value(int64_t{7}).value("\t").raw("{}").endArray();
+  W.endObject();
+  EXPECT_EQ(Out, "prefix:{\"k\\\"\\u0001\":\"x\\r\\u001f\x7f\xc3\xa9y\\u0000z\","
+                 "\"plain\":\"no escapes at all\",\"empty\":\"\","
+                 "\"min\":-9223372036854775808,"
+                 "\"max\":18446744073709551615,\"neg\":-42,\"zero\":0,"
+                 "\"d\":0.10000000000000001,\"big\":1.0000000000000001e+300,"
+                 "\"f\":false,\"a\":[7,\"\\t\",{}]}");
+  EXPECT_EQ(obs::json::escape("a\"\\\n\b"), "a\\\"\\\\\\n\\u0008");
+}
+
 TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_FALSE(obs::json::parse("{\"a\":1,}").has_value());
   EXPECT_FALSE(obs::json::parse("{\"a\":}").has_value());

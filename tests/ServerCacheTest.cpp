@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/CorpusIO.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "obs/Json.h"
@@ -24,6 +25,7 @@
 #include "server/Cache.h"
 #include "server/Service.h"
 #include "simdize/Target.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -341,6 +343,140 @@ TEST(ServerCache, EvictionKeepsTheBoundAndStaysCorrect) {
   for (size_t K = 0; K < 2; ++K)
     EXPECT_EQ(S.handle(compileReq(K, Loops[K])), FirstResponses[K]);
   EXPECT_LE(S.cache().size(), 4u);
+
+  // Eviction takes the least recently used entry. Every answering path
+  // refreshes its entry: a repeat compile (the alias path's find), a
+  // byte-identical payload (the response memo's peek) and a check.
+  // Entry order is given oldest first.
+  for (int K = 6; K < 8; ++K)
+    Loops.push_back("array a i32 256 align 0\n"
+                    "array b i32 256 align 4\n"
+                    "loop " +
+                    std::to_string(96 + 16 * K) + "\na[i+1] = b[i+2] + b[i]\n");
+  Service L(Opts);
+  std::vector<std::string> First;
+  for (size_t K = 0; K < Loops.size(); ++K)
+    First.push_back(compileReq(K, Loops[K]));
+  auto Evictions = [&] { return L.cache().stats().Evictions; };
+  for (size_t K = 0; K < 4; ++K)
+    L.handle(First[K]);                        // 0 1 2 3
+  L.handle(compileReq(100, Loops[0]));         // 1 2 3 0
+  L.handle(First[4]);                          // 2 3 0 4, evicts 1
+  EXPECT_EQ(Evictions(), 1);
+  L.handle(First[2]);                          // 3 0 4 2 (memo hit)
+  EXPECT_EQ(L.cache().stats().Misses, 5);
+  L.handle(First[5]);                          // 0 4 2 5, evicts 3
+  L.handle(checkReq(101, Loops[0], 1));        // 4 2 5 0
+  L.handle(First[6]);                          // 2 5 0 6, evicts 4
+  EXPECT_EQ(Evictions(), 3);
+
+  // A poisoned entry leaves the cache without disturbing the others'
+  // order or counting as an eviction.
+  parser::ParseResult P5 = parser::parseLoop(Loops[5], 16);
+  ASSERT_TRUE(P5.ok());
+  L.cache().poisonForTest(CompileCache::keyOf(ir::printParseable(*P5.Loop),
+                                              pipeline::CompileRequest()));
+  EXPECT_NE(L.handle(compileReq(102, Loops[5])).find("poisoned_cache"),
+            std::string::npos);                // 2 0 6
+  EXPECT_EQ(L.cache().size(), 3u);
+  L.handle(First[7]);                          // 2 0 6 7
+  EXPECT_EQ(Evictions(), 3);
+  L.handle(compileReq(103, Loops[5]));         // 0 6 7 5, evicts 2
+  EXPECT_EQ(Evictions(), 4);
+  EXPECT_EQ(L.cache().size(), 4u);
+
+  // The survivors answer without a miss; each evicted loop misses and
+  // recompiles to its first bytes.
+  CompileCache::Stats Before = L.cache().stats();
+  for (size_t K : {0u, 6u, 7u, 5u})
+    L.handle(compileReq(200 + K, Loops[K]));
+  EXPECT_EQ(L.cache().stats().Misses, Before.Misses);
+  EXPECT_EQ(L.cache().stats().Hits, Before.Hits + 4);
+  for (size_t K : {1u, 3u, 4u, 2u}) {
+    int64_t Misses = L.cache().stats().Misses;
+    EXPECT_EQ(L.handle(First[K]), FirstResponses[K]);
+    EXPECT_GT(L.cache().stats().Misses, Misses) << "loop " << K;
+    EXPECT_EQ(L.cache().size(), 4u);
+  }
+}
+
+TEST(ServerCache, ChecksumCoversEveryPayloadByte) {
+  Service S;
+  std::string Bad = "array a i32 128 align 0\nloop 100\na[i+1] = a[i] + 1\n";
+  ASSERT_EQ(S.handle(compileReq(1, CacheLoop)).find("error"),
+            std::string::npos);
+  ASSERT_NE(S.handle(compileReq(2, Bad)).find("compile_error"),
+            std::string::npos);
+
+  // Flips each byte of one field in turn; every flip must move the sum.
+  auto ExpectEveryFlipDetected = [](CompileCache::Entry &E, std::string &Field,
+                                    const char *Name) {
+    ASSERT_FALSE(Field.empty()) << Name;
+    uint64_t Clean = CompileCache::checksumOf(E);
+    ASSERT_EQ(Clean, E.Checksum) << Name;
+    for (size_t I = 0; I < Field.size(); ++I)
+      for (unsigned char Mask : {0x01, 0x80}) {
+        Field[I] = static_cast<char>(Field[I] ^ Mask);
+        EXPECT_NE(CompileCache::checksumOf(E), Clean)
+            << Name << " byte " << I << " mask " << unsigned(Mask);
+        Field[I] = static_cast<char>(Field[I] ^ Mask);
+      }
+    EXPECT_EQ(CompileCache::checksumOf(E), Clean) << Name;
+  };
+  for (const std::string &Loop : {std::string(CacheLoop), Bad}) {
+    parser::ParseResult P = parser::parseLoop(Loop, 16);
+    ASSERT_TRUE(P.ok()) << P.Error;
+    std::shared_ptr<CompileCache::Entry> E;
+    ASSERT_EQ(S.cache().find(CompileCache::keyOf(ir::printParseable(*P.Loop),
+                                                 pipeline::CompileRequest()),
+                             E),
+              CompileCache::Outcome::Hit);
+    ExpectEveryFlipDetected(*E, E->Result.ConfigName, "config name");
+    if (E->Result.ok())
+      ExpectEveryFlipDetected(*E, E->ProgramText, "program text");
+    else
+      ExpectEveryFlipDetected(*E, E->Result.Simd.Error, "error text");
+  }
+}
+
+TEST(ServerCache, ResponsesArePinned) {
+  // Every response byte of compile, check and explain over the corpus and
+  // a config set that covers each policy, SP on and off, every opt level
+  // and V = 16/32/64. Changing the hash needs a reason, not a re-record.
+  const std::vector<std::string> Configs = {
+      R"({"policy":"zero","opt":"raw","width":16})",
+      R"({"policy":"eager","sp":true,"opt":"std","width":32})",
+      R"({"policy":"lazy","opt":"pc","width":64})",
+      R"({"policy":"dom","sp":true,"opt":"raw","width":64})",
+      R"({"policy":"optimal","opt":"std","width":16})",
+      R"({"policy":"auto","sp":true,"opt":"pc","width":32})",
+      R"({"policy":"lazy","sp":true,"opt":"std","width":16})",
+  };
+  std::vector<std::string> Files = fuzz::listCorpusFiles(SIMDIZE_CORPUS_DIR);
+  ASSERT_EQ(Files.size(), 5u);
+  Service S;
+  std::string All;
+  uint64_t Id = 0;
+  size_t Errors = 0;
+  for (const std::string &Path : Files) {
+    std::optional<std::string> Text = fuzz::readCorpusFile(Path);
+    ASSERT_TRUE(Text.has_value()) << Path;
+    for (const std::string &Config : Configs)
+      for (const std::string &Resp :
+           {S.handle(compileReq(++Id, *Text, Config)),
+            S.handle(checkReq(++Id, *Text, 1, Config)),
+            S.handle(explainReq(++Id, *Text, Config))}) {
+        Errors += Resp.find(R"("kind":"error")") != std::string::npos;
+        All += Resp;
+        All += '\n';
+      }
+  }
+  EXPECT_EQ(Id, 105u);
+  // Deterministic rejections: trip counts under the 3B guard, and policies
+  // other than zero-shift on runtime alignments.
+  EXPECT_EQ(Errors, 28u);
+  EXPECT_EQ(All.size(), 82503u);
+  EXPECT_EQ(fnv1a(All), 2686243001615824215ULL);
 }
 
 TEST(ServerCache, UnboundedWhenMaxIsZero) {

@@ -97,6 +97,43 @@ TEST(ReferenceImageCache, OneImageServesEveryParseOfOneText) {
   EXPECT_TRUE(C.Ok) << C.Message;
 }
 
+TEST(ReferenceImageCache, EvictsTheLeastRecentlyUsedImage) {
+  parser::ParseResult P = parser::parseLoop("array a i32 64 align 0\n"
+                                            "array b i32 64 align 4\n"
+                                            "loop 40\n"
+                                            "a[i] = b[i+1]\n");
+  ASSERT_TRUE(P.ok()) << P.Error;
+  const ir::Loop &L = *P.Loop;
+  std::string Text = ir::printParseable(L);
+
+  // Three keys that differ in width and in seed, through two slots.
+  ReferenceImageCache Cache(2);
+  auto First = Cache.get(Text, L, 16, 1);
+  auto Second = Cache.get(Text, L, 32, 1);
+  EXPECT_EQ(Cache.get(Text, L, 16, 1), First); // Refreshes the first key.
+  auto Third = Cache.get(Text, L, 16, 2);
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(Cache.stats().Evictions, 1);
+  EXPECT_EQ(Third->getSeed(), 2u);
+  EXPECT_EQ(Second->getVectorLen(), 32u);
+
+  // The first and third keys survived; the second was evicted and is
+  // rebuilt on its next use.
+  EXPECT_EQ(Cache.get(Text, L, 16, 1), First);
+  EXPECT_EQ(Cache.get(Text, L, 16, 2), Third);
+  EXPECT_EQ(Cache.stats().Hits, 3);
+  EXPECT_EQ(Cache.stats().Misses, 3);
+  auto Rebuilt = Cache.get(Text, L, 32, 1);
+  EXPECT_NE(Rebuilt, Second);
+  EXPECT_EQ(Rebuilt->getExpected(), Second->getExpected());
+  EXPECT_EQ(Cache.stats().Misses, 4);
+  EXPECT_EQ(Cache.stats().Evictions, 2);
+  EXPECT_EQ(Cache.size(), 2u);
+  // Rebuilding the second key evicted the first, the least recent.
+  EXPECT_EQ(Cache.get(Text, L, 16, 2), Third);
+  EXPECT_NE(Cache.get(Text, L, 16, 1), First);
+}
+
 TEST(MemoryLayout, GuardGapsAtLeastFourVectors) {
   ir::Loop L;
   ir::Array *A = L.createArray("a", ir::ElemType::Int32, 8, 0, true);

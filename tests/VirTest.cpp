@@ -110,6 +110,70 @@ TEST_F(VirTest, PrinterFormats) {
   Pred.Predicate = S1;
   Pred.Comment = "guarded";
   EXPECT_EQ(printInst(Pred), "[if s1] vstore &a[0], v0  ; guarded");
+
+  // Every other opcode, both operand forms of the scalar operands.
+  VRegId V3 = P.allocVReg();
+  SRegId S2 = P.allocSReg();
+  EXPECT_EQ(printInst(VInst::makeVSplatReg(V1, S1, 1)), "v1 = vsplat s1 x i8");
+  EXPECT_EQ(printInst(VInst::makeVSplice(V2, V0, V1, ScalarOperand::imm(12))),
+            "v2 = vsplice v0, v1, 12");
+  EXPECT_EQ(printInst(VInst::makeVSplice(V2, V0, V1, ScalarOperand::reg(S2))),
+            "v2 = vsplice v0, v1, s2");
+  EXPECT_EQ(printInst(VInst::makeVShiftPair(V2, V0, V1,
+                                            ScalarOperand::imm(-4))),
+            "v2 = vshiftpair v0, v1, -4");
+  EXPECT_EQ(printInst(VInst::makeVCmp(SCmpKind::GE, V2, V0, V1, 2)),
+            "v2 = vcmp.ge.i16 v0, v1");
+  EXPECT_EQ(printInst(VInst::makeVSelect(V3, V2, V0, V1)),
+            "v3 = vselect v2, v0, v1");
+  EXPECT_EQ(printInst(VInst::makeVCopy(V1, V0)), "v1 = vcopy v0");
+  EXPECT_EQ(printInst(VInst::makeVBinOp(ir::BinOpKind::Max, V3, V1, V2, 1)),
+            "v3 = vmax.i8 v1, v2");
+
+  EXPECT_EQ(printInst(VInst::makeSConst(S1, -9223372036854775807LL - 1)),
+            "s1 = sconst -9223372036854775808");
+  EXPECT_EQ(printInst(VInst::makeSConst(S2, 0)), "s2 = sconst 0");
+  EXPECT_EQ(printInst(VInst::makeSBase(S1, B)), "s1 = sbase b");
+  EXPECT_EQ(printInst(VInst::makeSBinOp(SBinOpKind::Mod, S2, ScalarOperand::reg(S1),
+                                        ScalarOperand::imm(16))),
+            "s2 = smod s1, 16");
+  EXPECT_EQ(printInst(VInst::makeSBinOp(SBinOpKind::Sub, S2,
+                                        ScalarOperand::imm(-3),
+                                        ScalarOperand::reg(S1))),
+            "s2 = ssub -3, s1");
+  EXPECT_EQ(printInst(VInst::makeSCmp(SCmpKind::LT, S2, ScalarOperand::reg(S1),
+                                      ScalarOperand::imm(-1))),
+            "s2 = scmp.lt s1, -1");
+  EXPECT_EQ(printInst(VInst::makeSCmp(SCmpKind::NE, S2, ScalarOperand::imm(7),
+                                      ScalarOperand::reg(S1))),
+            "s2 = scmp.ne 7, s1");
+
+  // Zero offset with a register index prints no parentheses; a nonzero
+  // offset always carries its sign.
+  EXPECT_EQ(printInst(VInst::makeVLoad(V0, Address::indexed(B, 0, S1))),
+            "v0 = vload &b[s1]");
+  EXPECT_EQ(printInst(VInst::makeVStore(
+                Address::indexed(A, 5, P.getIndexReg()), V0)),
+            "vstore &a[(s0)+5], v0");
+  EXPECT_EQ(printInst(VInst::makeVLoad(V0, Address::constant(A, -2, 40))),
+            "v0 = vload &a[(40)-2]");
+  EXPECT_EQ(printInst(VInst::makeVLoad(V0, Address::constant(B, 0, -8))),
+            "v0 = vload &b[-8]");
+
+  VInst Offset = VInst::makeSBinOp(SBinOpKind::And, S1, ScalarOperand::reg(S1),
+                                   ScalarOperand::imm(15));
+  Offset.Comment = "runtime stream offset of ";
+  Offset.CommentArray = B;
+  EXPECT_EQ(printInst(Offset), "s1 = sand s1, 15  ; runtime stream offset of b");
+  EXPECT_EQ(commentText(Offset), "runtime stream offset of b");
+
+  VInst Splat = VInst::makeVSplatReg(V0, S1, 4);
+  Splat.Comment = "splat of parameter ";
+  Splat.CommentParam = L.createParam("alpha", 3);
+  Splat.Predicate = P.getIndexReg();
+  EXPECT_EQ(printInst(Splat),
+            "[if s0] v0 = vsplat s1 x i32  ; splat of parameter alpha");
+  EXPECT_EQ(commentText(VInst::makeVCopy(V0, V0)), "");
 }
 
 TEST_F(VirTest, PrinterProgramStructure) {
@@ -121,6 +185,24 @@ TEST_F(VirTest, PrinterProgramStructure) {
   EXPECT_NE(Text.find("setup:\n  v0 = vsplat 1 x i32\n"), std::string::npos);
   EXPECT_NE(Text.find("loop s0 = 4, s0 < 97, s0 += 4:"), std::string::npos);
   EXPECT_NE(Text.find("epilogue:"), std::string::npos);
+
+  // A runtime trip count bounds the loop by a register.
+  VProgram R(32, 2);
+  SRegId UB = R.declareTripCountParam(100);
+  VRegId W0 = R.allocVReg();
+  R.getBody().push_back(
+      VInst::makeVLoad(W0, Address::indexed(B, 3, R.getIndexReg())));
+  R.getBody().push_back(
+      VInst::makeVStore(Address::indexed(A, 0, R.getIndexReg()), W0));
+  R.getEpilogue().push_back(VInst::makeSConst(R.allocSReg(), -1));
+  R.setLoopBounds(ScalarOperand::imm(0), ScalarOperand::reg(UB));
+  R.setLoopStep(32);
+  EXPECT_EQ(printProgram(R), "setup:\n"
+                             "loop s0 = 0, s0 < s1, s0 += 32:\n"
+                             "  v0 = vload &b[(s0)+3]\n"
+                             "  vstore &a[s0], v0\n"
+                             "epilogue:\n"
+                             "  s2 = sconst -1\n");
 }
 
 TEST_F(VirTest, VerifierAcceptsMinimalProgram) {
