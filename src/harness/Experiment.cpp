@@ -45,8 +45,10 @@ std::string harness::schemeName(const pipeline::CompileRequest &C) {
     Name += "-sp";
     break;
   }
-  if (C.Simd.Tgt.VectorLen != 16)
-    Name += "@" + std::to_string(C.Simd.Tgt.VectorLen);
+  if (C.Simd.Tgt.VectorLen != 16) {
+    Name += '@';
+    Name += std::to_string(C.Simd.Tgt.VectorLen);
+  }
   return Name;
 }
 

@@ -9,8 +9,13 @@
 #include "ir/Loop.h"
 #include "support/Debug.h"
 #include "support/Format.h"
+#include "support/MathExtras.h"
 #include "vir/VPrinter.h"
 #include "vir/VProgram.h"
+
+#include <cstdlib>
+#include <optional>
+#include <vector>
 
 using namespace simdize;
 using namespace simdize::native;
@@ -77,21 +82,145 @@ std::string address(const Address &A) {
               static_cast<long long>(A.ElemOffset));
 }
 
+/// The chunk a vector register holds, as the load that read it: the
+/// V-byte chunk of Base containing element Elem. In the steady body Elem
+/// is relative to the loop counter of the current iteration; in Setup it
+/// is absolute. A null Base means no load chunk is known.
+struct LoadChunk {
+  const ir::Array *Base = nullptr;
+  int64_t Elem = 0;
+};
+
+/// Per vector register, the load chunk it holds at one program point.
+using ChunkState = std::vector<LoadChunk>;
+
+/// Advances \p S over \p I. \p Elem gives the element a load or store of
+/// \p I addresses, or nullopt when it is not known statically. A store
+/// forgets every register of its array whose chunk it may overwrite: two
+/// elements less than V bytes apart may share a chunk.
+template <typename ElemFn>
+void stepChunks(const VInst &I, unsigned V, ChunkState &S, ElemFn Elem) {
+  if (I.Op == VOpcode::VStore) {
+    std::optional<int64_t> Stored = Elem(I.Addr);
+    const int64_t D = I.Addr.Base->getElemSize();
+    for (LoadChunk &C : S)
+      if (C.Base == I.Addr.Base &&
+          (!Stored || std::abs(D * (C.Elem - *Stored)) < int64_t{V}))
+        C = LoadChunk();
+    return;
+  }
+  if (!I.definesVector())
+    return;
+  LoadChunk Value; // A predicated write may not happen: nothing is known.
+  if (!I.Predicate && I.Op == VOpcode::VLoad) {
+    if (std::optional<int64_t> E = Elem(I.Addr))
+      Value = {I.Addr.Base, *E};
+  } else if (!I.Predicate && I.Op == VOpcode::VCopy) {
+    Value = S[I.VSrc1.Id];
+  }
+  S[I.VDst.Id] = Value;
+}
+
+/// How many chunks of \p A separate the one holding element \p From from
+/// the one holding element \p To: exact when the two are a multiple of V
+/// bytes apart, else read off A's static alignment, which needs absolute
+/// indices (or indices relative to a counter a multiple of B past them).
+std::optional<int64_t> chunksApart(const ir::Array *A, unsigned V,
+                                   int64_t From, int64_t To, bool Absolute) {
+  const int64_t D = A->getElemSize();
+  if ((D * (To - From)) % V == 0)
+    return D * (To - From) / V;
+  if (!Absolute || !A->isAlignmentKnown())
+    return std::nullopt;
+  return (alignDown(A->getAlignment() + D * To, V) -
+          alignDown(A->getAlignment() + D * From, V)) /
+         V;
+}
+
+/// For each steady-body instruction, the address of the first chunk when
+/// the instruction is a VShiftPair of two consecutive chunks of one load
+/// stream, else nullopt. Such a shift reads the same V bytes as one
+/// unaligned load of its first chunk's address plus the shift amount.
+///
+/// An operand's chunk is its last load earlier in the body. A register
+/// the body reads before writing is loop-carried: it holds its last body
+/// load one loop step earlier, and on the first iteration the value Setup
+/// seeds it with, which must be a load of that same chunk. Chunks are
+/// consecutive when the second starts exactly V bytes after the first,
+/// and neither may have been stored to since it was loaded.
+std::vector<std::optional<Address>> realignableShifts(const VProgram &P) {
+  const unsigned V = P.getVectorLen();
+  const Block &Body = P.getBody();
+  // With an immediate lower bound the counter stays a multiple of B past
+  // it, so LB + a body offset indexes the same chunk as an absolute index.
+  std::optional<int64_t> LB;
+  if (P.getLowerBound().isImm())
+    LB = P.getLowerBound().getImm();
+  std::vector<std::optional<Address>> Out(Body.size());
+  auto BodyElem = [](const Address &A) -> std::optional<int64_t> {
+    return A.ElemOffset; // The verifier indexes body accesses by the counter.
+  };
+  auto SetupElem = [](const Address &A) -> std::optional<int64_t> {
+    if (A.Index)
+      return std::nullopt;
+    return A.ConstIndex + A.ElemOffset;
+  };
+
+  // The chunks a body run leaves, whatever the body is entered with.
+  ChunkState AtEnd(P.getNumVRegs());
+  for (const VInst &I : Body)
+    stepChunks(I, V, AtEnd, BodyElem);
+
+  // Body entry: a carried chunk one step back, where Setup seeds it.
+  ChunkState Seeds(P.getNumVRegs());
+  for (const VInst &I : P.getSetup())
+    stepChunks(I, V, Seeds, SetupElem);
+  ChunkState S(P.getNumVRegs());
+  if (LB) {
+    for (size_t R = 0; R < S.size(); ++R) {
+      LoadChunk Carried = AtEnd[R];
+      Carried.Elem -= P.getLoopStep();
+      if (Carried.Base && Seeds[R].Base == Carried.Base &&
+          chunksApart(Carried.Base, V, *LB + Carried.Elem, Seeds[R].Elem,
+                      true) == 0)
+        S[R] = Carried;
+    }
+  }
+
+  for (size_t K = 0; K < Body.size(); ++K) {
+    const VInst &I = Body[K];
+    if (I.Op == VOpcode::VShiftPair) {
+      const LoadChunk &A = S[I.VSrc1.Id], &B = S[I.VSrc2.Id];
+      const int64_t Origin = LB.value_or(0);
+      if (A.Base && A.Base == B.Base &&
+          chunksApart(A.Base, V, Origin + A.Elem, Origin + B.Elem,
+                      LB.has_value()) == 1)
+        Out[K] = Address::indexed(A.Base, A.Elem, P.getIndexReg());
+    }
+    stepChunks(I, V, S, BodyElem);
+  }
+  return Out;
+}
+
 /// Renders one program as a C++ function over the vx_* wrappers: the
 /// signature, register declarations, parameter binding, the Setup /
 /// steady-loop / Epilogue skeleton, and one statement per instruction.
 class KernelEmitter {
 public:
-  KernelEmitter(const VProgram &P, const ir::Loop &L) : P(P), L(L) {}
+  KernelEmitter(const VProgram &P, const ir::Loop &L)
+      : P(P), L(L), Realign(realignableShifts(P)) {}
 
   std::string emitKernel(const std::string &FnName) const;
 
 private:
-  std::string stmt(const VInst &I) const;
-  std::string bareStmt(const VInst &I) const;
+  /// \p At, for a steady-body shift of two consecutive load chunks, is the
+  /// first chunk's address.
+  std::string stmt(const VInst &I, const std::optional<Address> &At) const;
+  std::string bareStmt(const VInst &I, const std::optional<Address> &At) const;
 
   const VProgram &P;
   const ir::Loop &L;
+  std::vector<std::optional<Address>> Realign;
 };
 
 std::string KernelEmitter::emitKernel(const std::string &FnName) const {
@@ -173,24 +302,25 @@ std::string KernelEmitter::emitKernel(const std::string &FnName) const {
       Out += strf("  (void)%s;\n", Params[K]->getName().c_str());
 
   for (const VInst &I : P.getSetup())
-    Out += "  " + stmt(I) + "\n";
+    Out += "  " + stmt(I, std::nullopt) + "\n";
 
   Out += strf("  for (s%u = %s; s%u < %s; s%u += %u) {\n",
               P.getIndexReg().Id, operand(P.getLowerBound()).c_str(),
               P.getIndexReg().Id, operand(P.getUpperBound()).c_str(),
               P.getIndexReg().Id, P.getLoopStep());
-  for (const VInst &I : P.getBody())
-    Out += "    " + stmt(I) + "\n";
+  for (size_t K = 0; K < P.getBody().size(); ++K)
+    Out += "    " + stmt(P.getBody()[K], Realign[K]) + "\n";
   Out += "  }\n";
 
   for (const VInst &I : P.getEpilogue())
-    Out += "  " + stmt(I) + "\n";
+    Out += "  " + stmt(I, std::nullopt) + "\n";
   Out += "}\n";
   return Out;
 }
 
-std::string KernelEmitter::stmt(const VInst &I) const {
-  std::string S = bareStmt(I);
+std::string KernelEmitter::stmt(const VInst &I,
+                                const std::optional<Address> &At) const {
+  std::string S = bareStmt(I, At);
   if (I.Predicate)
     S = strf("if (s%u) { ", I.Predicate->Id) + S + " }";
   if (I.Comment)
@@ -198,7 +328,8 @@ std::string KernelEmitter::stmt(const VInst &I) const {
   return S;
 }
 
-std::string KernelEmitter::bareStmt(const VInst &I) const {
+std::string KernelEmitter::bareStmt(const VInst &I,
+                                    const std::optional<Address> &At) const {
   switch (I.Op) {
   case VOpcode::VLoad:
     return strf("v%u = vx_ld(%s);", I.VDst.Id, address(I.Addr).c_str());
@@ -214,9 +345,17 @@ std::string KernelEmitter::bareStmt(const VInst &I) const {
         return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
       if (Shift == static_cast<int64_t>(P.getVectorLen()))
         return strf("v%u = v%u;", I.VDst.Id, I.VSrc2.Id);
+      if (At)
+        return strf("v%u = vx_sld_at<%lld>(v%u, v%u, %s);", I.VDst.Id,
+                    static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id,
+                    address(*At).c_str());
       return strf("v%u = vx_sld<%lld>(v%u, v%u);", I.VDst.Id,
                   static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id);
     }
+    if (At)
+      return strf("v%u = vx_shiftpair_at(v%u, v%u, %s, %s);", I.VDst.Id,
+                  I.VSrc1.Id, I.VSrc2.Id, operand(I.SOp1).c_str(),
+                  address(*At).c_str());
     return strf("v%u = vx_shiftpair(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
                 I.VSrc2.Id, operand(I.SOp1).c_str());
   }

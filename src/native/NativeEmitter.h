@@ -11,6 +11,11 @@
 /// so batch consumers (the differential ctest, the benches, the fuzzer)
 /// amortize one system-compiler invocation over a whole work list.
 ///
+/// A steady-loop shift whose operands the emitter proves are two
+/// consecutive chunks of one load stream is emitted as vx_sld_at /
+/// vx_shiftpair_at with the first chunk's address, which x86 headers may
+/// realize as one unaligned load; the choice never depends on the ISA.
+///
 /// Each kernel has the signature
 ///
 ///   void FnName(unsigned char *<array0>, ..., long <param0>, ..., long ub)

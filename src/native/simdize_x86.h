@@ -22,6 +22,10 @@
 ///   vx_ld / vx_st          address truncated to a V-byte boundary
 ///   vx_sld<N>              bytes [N, N+V) of A ++ B, immediate N in [0,V]
 ///   vx_shiftpair(A,B,S)    same with a runtime shift S in [0,V]
+///   vx_sld_at<N>(A,B,P)    vx_sld<N>(A, B) where A and B hold the chunks
+///                          at trunc(P) and trunc(P) + V: the emitter's
+///                          proof that both are loads of one stream
+///   vx_shiftpair_at(A,B,S,P)  the same for vx_shiftpair
 ///   vx_splice(A,B,P)       first P bytes from A, the rest from B
 ///   vx_splat_i8/16/32      lane-replicated immediate (little-endian)
 ///   vx_add/sub/mul_*       wrap-around unsigned lane arithmetic
@@ -41,6 +45,19 @@
 
 #include <cstdint>
 #include <cstring>
+
+namespace simdize_x86_detail {
+
+/// The V bytes at trunc(Addr) + N: on x86 one unaligned load reads what
+/// the register shift of the chunk pair at trunc(Addr) computes.
+template <typename T>
+inline const T *realigned(const unsigned char *Addr, long N) {
+  uintptr_t P = reinterpret_cast<uintptr_t>(Addr) &
+                ~static_cast<uintptr_t>(SIMDIZE_NATIVE_V - 1);
+  return reinterpret_cast<const T *>(P + N);
+}
+
+} // namespace simdize_x86_detail
 
 //===----------------------------------------------------------------------===//
 // Portable shim: scalar model of the operations, any power-of-2 V. The
@@ -81,6 +98,17 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
   static_assert(N >= 0 && N <= SIMDIZE_NATIVE_V,
                 "shift immediate out of range");
   return vx_shiftpair(A, B, N);
+}
+
+/// The shim keeps the register shift: it stays a plain model of the VM
+/// program, whose vshiftpair reads only its operands.
+template <int N>
+inline vx_t vx_sld_at(vx_t A, vx_t B, const unsigned char *) {
+  return vx_sld<N>(A, B);
+}
+
+inline vx_t vx_shiftpair_at(vx_t A, vx_t B, long S, const unsigned char *) {
+  return vx_shiftpair(A, B, S);
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
@@ -221,6 +249,17 @@ inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
   _mm_store_si128(reinterpret_cast<__m128i *>(Concat), A);
   _mm_store_si128(reinterpret_cast<__m128i *>(Concat + 16), B);
   return _mm_loadu_si128(reinterpret_cast<const __m128i *>(Concat + S));
+}
+
+/// One unaligned load replaces the two-shift-and-or network.
+template <int N>
+inline vx_t vx_sld_at(vx_t, vx_t, const unsigned char *Addr) {
+  static_assert(N >= 0 && N <= 16, "shift immediate out of range");
+  return _mm_loadu_si128(simdize_x86_detail::realigned<__m128i>(Addr, N));
+}
+
+inline vx_t vx_shiftpair_at(vx_t, vx_t, long S, const unsigned char *Addr) {
+  return _mm_loadu_si128(simdize_x86_detail::realigned<__m128i>(Addr, S));
 }
 
 /// 0xFF in bytes [0, P), 0x00 above — the vsplice select mask.
@@ -397,6 +436,17 @@ inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Concat + S));
 }
 
+/// One unaligned load replaces vperm2i128 + vpalignr.
+template <int N>
+inline vx_t vx_sld_at(vx_t, vx_t, const unsigned char *Addr) {
+  static_assert(N >= 0 && N <= 32, "shift immediate out of range");
+  return _mm256_loadu_si256(simdize_x86_detail::realigned<__m256i>(Addr, N));
+}
+
+inline vx_t vx_shiftpair_at(vx_t, vx_t, long S, const unsigned char *Addr) {
+  return _mm256_loadu_si256(simdize_x86_detail::realigned<__m256i>(Addr, S));
+}
+
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
   const __m256i Idx = _mm256_setr_epi8(
       0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
@@ -505,8 +555,9 @@ inline vx_t vx_cmp_ge_i32(vx_t A, vx_t B) {
 // Immediate shifts stay in registers: valignd shifts the 128-byte pair by
 // whole dwords, and byte-granular amounts widen the AVX2 trick to four
 // lanes (two valignd pick adjacent 16-byte windows, one vpalignr
-// finishes per lane). Only the runtime-amount vx_shiftpair still goes
-// through an aligned spill of the pair.
+// finishes per lane). A runtime-amount vx_shiftpair of computed values
+// still goes through an aligned spill of the pair; on load streams the
+// emitter calls vx_shiftpair_at, one unaligned load.
 //===----------------------------------------------------------------------===//
 #elif defined(SIMDIZE_NATIVE_ISA_AVX512)
 
@@ -570,6 +621,23 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
                               simdize_x86_detail::dwords<4 * Q>(A, B),
                               N % 16);
   }
+}
+
+/// A whole-dword amount keeps its single valignd: every unaligned 64-byte
+/// load splits a cache line, and loading those too slowed the i16 and i32
+/// kernels by up to a fifth (docs/NATIVE.md). Any other amount is one
+/// unaligned load in place of two valignd and a vpalignr.
+template <int N>
+inline vx_t vx_sld_at(vx_t A, vx_t B, const unsigned char *Addr) {
+  static_assert(N >= 0 && N <= 64, "shift immediate out of range");
+  if constexpr (N % 4 == 0)
+    return simdize_x86_detail::dwords<N / 4>(A, B);
+  else
+    return _mm512_loadu_si512(simdize_x86_detail::realigned<void>(Addr, N));
+}
+
+inline vx_t vx_shiftpair_at(vx_t, vx_t, long S, const unsigned char *Addr) {
+  return _mm512_loadu_si512(simdize_x86_detail::realigned<void>(Addr, S));
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {

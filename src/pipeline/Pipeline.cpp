@@ -33,8 +33,10 @@ std::string CompileRequest::name() const {
     Name += "-pc/opt";
     break;
   }
-  if (Simd.Tgt.VectorLen != 16)
-    Name += "@" + std::to_string(Simd.Tgt.VectorLen);
+  if (Simd.Tgt.VectorLen != 16) {
+    Name += '@';
+    Name += std::to_string(Simd.Tgt.VectorLen);
+  }
   if (Tier == ExecTier::Native)
     Name += "+native";
   return Name;

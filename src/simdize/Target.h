@@ -78,7 +78,11 @@ struct Target {
   bool operator!=(const Target &O) const { return VectorLen != O.VectorLen; }
 
   /// "v16" / "v32" / "v64" — used in config names and diagnostics.
-  std::string str() const { return "v" + std::to_string(VectorLen); }
+  std::string str() const {
+    std::string S = "v";
+    S += std::to_string(VectorLen);
+    return S;
+  }
 };
 
 } // namespace simdize

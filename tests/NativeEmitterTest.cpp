@@ -6,7 +6,10 @@
 ///
 /// \file
 /// The native backend end to end: structural checks on the emitted
-/// intrinsic text, ISA/width admissibility and CPUID-based degradation,
+/// intrinsic text, the load-stream realignment (which steady shifts
+/// become vx_sld_at / vx_shiftpair_at, and hand-edited programs whose
+/// shifts must not, each run against the decoded VM), ISA/width
+/// admissibility and CPUID-based degradation,
 /// compile-and-run of V = 16 schemes and kernels (runtime alignments and
 /// trip counts, parameters, min/max/bitwise, an i16 FIR) on the portable
 /// shim and the host ISA, the shim at V = 32/64 (vshiftpair/vsplice edge
@@ -25,8 +28,10 @@
 #include "parser/LoopParser.h"
 #include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
+#include "sim/Decoder.h"
 #include "support/Format.h"
 #include "synth/LoopSynth.h"
+#include "vir/VVerifier.h"
 
 #include <gtest/gtest.h>
 
@@ -35,6 +40,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <random>
@@ -173,6 +179,205 @@ void expectNativeMatchesV16(const ir::Loop &L, policies::PolicyKind Policy,
                             bool SP, pipeline::OptLevel Opt, uint64_t Seed) {
   for (native::ISA Isa : {native::ISA::Shim, native::bestISAForWidth(16)})
     expectNativeMatches(L, 16, Policy, SP, Isa, Seed, Opt);
+}
+
+/// The steady loop of an emitted kernel: from its `for (` line through the
+/// closing brace.
+std::string steadyBody(const std::string &Src) {
+  size_t Begin = Src.find("  for (");
+  size_t End = Src.find("\n  }\n", Begin);
+  EXPECT_NE(Begin, std::string::npos) << Src;
+  EXPECT_NE(End, std::string::npos) << Src;
+  return Src.substr(Begin, End + 4 - Begin);
+}
+
+ir::Loop parsed(const std::string &Text) {
+  parser::ParseResult R = parser::parseLoop(Text);
+  EXPECT_TRUE(R.ok()) << R.Error;
+  return std::move(*R.Loop);
+}
+
+/// Two misaligned i16 load streams into an aligned store: EAGER shifts
+/// both streams to offset 0 and stores without a shift.
+const char *const EagerI16 = "array o i16 256 align 0\n"
+                             "array x i16 256 align 6\n"
+                             "array y i16 256 align byte 13\n"
+                             "loop 200\n"
+                             "o[i] = x[i+1] + y[i+2]\n";
+
+TEST(NativeEmitter, LoadStreamShiftsBecomeRealignedLoads) {
+  // Every steady shift of EAGER-sp combines two consecutive chunks of one
+  // load stream, one of them loop-carried: all become vx_sld_at, with the
+  // first chunk's address. Setup and the epilogue keep vx_sld.
+  ir::Loop L = parsed(EagerI16);
+  vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Eager, true);
+  native::LowerResult Lowered =
+      native::emitNativeKernel(P, L, "kern", native::ISA::SSE2);
+  ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+  std::string Body = steadyBody(Lowered.Code);
+  EXPECT_EQ(Body.find("vx_sld<"), std::string::npos) << Body;
+  EXPECT_NE(Body.find("vx_sld_at<"), std::string::npos) << Body;
+  EXPECT_NE(Body.find(", x + 2 * ((s0) + ("), std::string::npos) << Body;
+  EXPECT_NE(Body.find(", y + 2 * ((s0) + ("), std::string::npos) << Body;
+  EXPECT_NE(Lowered.Code.find("vx_sld<"), std::string::npos);
+  for (native::ISA Isa : {native::ISA::Shim, native::bestISAForWidth(16)})
+    expectNativeMatches(L, 16, policies::PolicyKind::Eager, true, Isa);
+
+  // Two streams of one array share a chunk, and memory normalization
+  // keeps one load of it: a carried register's Setup seed (d[41]) and its
+  // body load one step back (d[33]) differ by 8 elements yet read one
+  // chunk, known from d's alignment, so that shift is realigned too.
+  ir::Loop Shared = parsed("array o i16 512 align 0\n"
+                           "array d i16 512 align 14\n"
+                           "loop 400\n"
+                           "o[i] = d[i+1] + d[i+9]\n");
+  P = compileFor(Shared, 64, policies::PolicyKind::Eager, true);
+  Lowered = native::emitNativeKernel(P, Shared, "kern", native::ISA::AVX512);
+  ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+  Body = steadyBody(Lowered.Code);
+  EXPECT_EQ(Body.find("vx_sld<"), std::string::npos) << Body;
+  for (native::ISA Isa : {native::ISA::Shim, native::bestISAForWidth(64)})
+    expectNativeMatches(Shared, 64, policies::PolicyKind::Eager, true, Isa);
+}
+
+TEST(NativeEmitter, ComputedValueShiftsKeepTheRegisterShift) {
+  // DOM computes at the loads' common offset and shifts the sum to the
+  // store's: a shift of computed values, which keeps vx_sld.
+  ir::Loop L = parsed("array o i32 256 align 0\n"
+                      "array x i32 256 align 4\n"
+                      "array y i32 256 align 4\n"
+                      "loop 200\n"
+                      "o[i] = x[i] + y[i]\n");
+  vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Dominant, true);
+  native::LowerResult Lowered =
+      native::emitNativeKernel(P, L, "kern", native::ISA::SSE2);
+  ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+  std::string Body = steadyBody(Lowered.Code);
+  EXPECT_NE(Body.find("vx_sld<"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("_at"), std::string::npos) << Body;
+
+  // The same for runtime amounts: the load stream's vx_shiftpair reads
+  // one realigned load, the store side keeps the register shift.
+  ir::Loop RT = parsed("array o i32 256 align ? 12\n"
+                       "array x i32 256 align ? 4\n"
+                       "loop runtime 200\n"
+                       "o[i] = x[i+1] + x[i+2]\n");
+  vir::VProgram PRT = compileFor(RT, 16, policies::PolicyKind::Zero, true);
+  Lowered = native::emitNativeKernel(PRT, RT, "kern", native::ISA::SSE2);
+  ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+  Body = steadyBody(Lowered.Code);
+  EXPECT_NE(Body.find("vx_shiftpair_at("), std::string::npos) << Body;
+  EXPECT_NE(Body.find("vx_shiftpair("), std::string::npos) << Body;
+}
+
+/// Compiles EagerI16 (EAGER-sp, V = 16), applies \p Edit to the program,
+/// and requires that the edited program still verifies, that its steady
+/// body lowers to exactly \p Realigned vx_sld_at calls, and that its
+/// native image on the host ISA equals the decoded VM's byte for byte.
+void expectHonestLowering(const std::function<void(vir::VProgram &)> &Edit,
+                          size_t Realigned) {
+  ir::Loop L = parsed(EagerI16);
+  vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Eager, true);
+  Edit(P);
+  std::optional<std::string> Invalid = vir::verifyProgram(P);
+  ASSERT_FALSE(Invalid.has_value()) << *Invalid;
+
+  native::LowerResult Lowered =
+      native::emitNativeKernel(P, L, "kern", native::ISA::SSE2);
+  ASSERT_TRUE(Lowered.ok()) << Lowered.Error;
+  std::string Body = steadyBody(Lowered.Code);
+  size_t Count = 0;
+  for (size_t At = Body.find("vx_sld_at<"); At != std::string::npos;
+       At = Body.find("vx_sld_at<", At + 1))
+    ++Count;
+  EXPECT_EQ(Count, Realigned) << Body;
+
+  sim::ReferenceImage Ref(L, 16, 7);
+  sim::Memory VM = Ref.getInitial();
+  sim::runDecoded(sim::DecodedProgram(P, Ref.getLayout()), VM);
+  std::string Error;
+  native::NativeKernel K = native::prepareNativeKernel(
+      L, P, Ref.getLayout(), native::bestISAForWidth(16), &Error);
+  ASSERT_TRUE(K.ok()) << Error;
+  sim::Memory Native = Ref.getInitial();
+  native::runNativeOnMemory(K, Native);
+  EXPECT_TRUE(Native == VM) << Lowered.Code;
+  EXPECT_FALSE(VM == Ref.getExpected()) << "the edit changed nothing";
+}
+
+/// The body instruction loading \p Base at counter offset \p Elem.
+vir::VInst &bodyLoad(vir::VProgram &P, const char *Base, int64_t Elem) {
+  for (vir::VInst &I : P.getBody())
+    if (I.Op == vir::VOpcode::VLoad && I.Addr.Base->getName() == Base &&
+        I.Addr.ElemOffset == Elem)
+      return I;
+  ADD_FAILURE() << "no body load of " << Base << "[i+" << Elem << "]";
+  return P.getBody().front();
+}
+
+TEST(NativeEmitter, HonestLoweringOfAForeignSeed) {
+  // Setup seeds x's carried chunk (x[LB + 1]) from the load of x[1], one
+  // step too early. The program still verifies but computes other bytes
+  // on the first iteration, so the shift that reads the carried chunk
+  // must keep vx_sld.
+  expectHonestLowering(
+      [](vir::VProgram &P) {
+        vir::Block &Setup = P.getSetup();
+        // The last Setup load of x[Elem].
+        auto LoadOf = [&](int64_t Elem) {
+          vir::VRegId Last;
+          for (const vir::VInst &I : Setup)
+            if (I.Op == vir::VOpcode::VLoad && I.Addr.Base->getName() == "x" &&
+                I.Addr.ConstIndex + I.Addr.ElemOffset == Elem)
+              Last = I.VDst;
+          EXPECT_TRUE(Last.isValid()) << "Setup loads no x[" << Elem << "]";
+          return Last;
+        };
+        const int64_t LB = P.getLowerBound().getImm();
+        vir::VRegId Seed = LoadOf(LB + 1), Early = LoadOf(1);
+        for (vir::VInst &I : Setup)
+          if (I.Op == vir::VOpcode::VCopy && I.VSrc1 == Seed)
+            I.VSrc1 = Early;
+      },
+      3);
+  // The seed load itself moved to x[LB - 4]: only 10 bytes before
+  // x[LB + 1], but at x's alignment of 6 bytes in the chunk before it.
+  expectHonestLowering(
+      [](vir::VProgram &P) {
+        const int64_t LB = P.getLowerBound().getImm();
+        vir::VInst *Seed = nullptr;
+        for (vir::VInst &I : P.getSetup())
+          if (I.Op == vir::VOpcode::VLoad && I.Addr.Base->getName() == "x" &&
+              I.Addr.ConstIndex + I.Addr.ElemOffset == LB + 1)
+            Seed = &I;
+        ASSERT_NE(Seed, nullptr);
+        Seed->Addr.ElemOffset -= 5;
+      },
+      3);
+}
+
+TEST(NativeEmitter, HonestLoweringOfAChunkGap) {
+  // x's fresh chunk is loaded from one chunk further on: its two shifts
+  // then pair chunks 2V and 0 bytes apart, and both must keep vx_sld.
+  expectHonestLowering(
+      [](vir::VProgram &P) { bodyLoad(P, "x", 9).Addr.ElemOffset = 17; }, 2);
+}
+
+TEST(NativeEmitter, HonestLoweringAcrossAStore) {
+  // A store into x's fresh chunk between its load and the two shifts that
+  // read it: the register keeps the old bytes, memory holds the new ones,
+  // so both shifts must keep vx_sld.
+  expectHonestLowering(
+      [](vir::VProgram &P) {
+        vir::Block &Body = P.getBody();
+        const vir::VInst &Load = bodyLoad(P, "x", 9);
+        size_t After = static_cast<size_t>(&Load - Body.data()) + 1;
+        // The carried y chunk: defined in Setup, so live at this point.
+        vir::VInst Store =
+            vir::VInst::makeVStore(Load.Addr, bodyLoad(P, "y", 18).VDst);
+        Body.insert(Body.begin() + static_cast<std::ptrdiff_t>(After), Store);
+      },
+      2);
 }
 
 struct SchemeCase {

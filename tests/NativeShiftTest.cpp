@@ -5,13 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exhaustive check of the wrapper header's two stream-shift primitives:
-/// for each (ISA, V) the host can run, one probe TU built through
-/// native::compileAndLoad applies vx_sld<N> for every immediate N in
-/// [0, V] and vx_shiftpair(A, B, S) for every runtime S in [0, V] to
-/// random bytes, and each result must equal bytes [N, N+V) of A ++ B.
-/// Emitted kernels reach only the shift amounts their loops need; this
-/// reaches all of them, including every byte-granular one.
+/// Exhaustive check of the wrapper header's stream-shift primitives: for
+/// each (ISA, V) the host can run, one probe TU built through
+/// native::compileAndLoad applies vx_sld<N> and vx_sld_at<N> for every
+/// immediate N in [0, V], and vx_shiftpair(A, B, S) and
+/// vx_shiftpair_at(A, B, S, P) for every runtime S in [0, V], to random
+/// bytes, and each result must equal bytes [N, N+V) of A ++ B. The _at
+/// forms get A and B loaded from the chunks at trunc(P) and trunc(P) + V,
+/// with P anywhere in the first chunk, as the emitter calls them on a load
+/// stream; on AVX-512 vx_sld_at takes both of its branches (valignd for
+/// whole dwords, an unaligned load otherwise). Emitted kernels reach only
+/// the shift amounts their loops need; this reaches all of them,
+/// including every byte-granular one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +36,9 @@ namespace {
 constexpr unsigned MaxV = 64;
 
 /// The probe TU: probe_sld stores vx_sld<N>(A, B) at Out + N*V for every
-/// N; probe_shiftpair stores vx_shiftpair(A, B, S) for one runtime S.
+/// N; probe_shiftpair stores vx_shiftpair(A, B, S) for one runtime S. The
+/// probe_*_at entries do the same through the _at forms with the chunk
+/// pair's address In + Off.
 std::string probeSource(native::ISA Isa, unsigned V) {
   std::string Src = strf("#define SIMDIZE_NATIVE_V %u\n#define %s 1\n", V,
                          native::isaDefine(Isa));
@@ -52,6 +59,25 @@ extern "C" void probe_sld(const unsigned char *In, unsigned char *Out) {
 extern "C" void probe_shiftpair(const unsigned char *In, long S,
                                 unsigned char *Out) {
   vx_st(Out, vx_shiftpair(vx_ld(In), vx_ld(In + SIMDIZE_NATIVE_V), S));
+}
+
+template <int... N>
+void sldAtAll(const unsigned char *P, unsigned char *Out,
+              std::integer_sequence<int, N...>) {
+  vx_t A = vx_ld(P), B = vx_ld(P + SIMDIZE_NATIVE_V);
+  (vx_st(Out + N * SIMDIZE_NATIVE_V, vx_sld_at<N>(A, B, P)), ...);
+}
+
+extern "C" void probe_sld_at(const unsigned char *In, long Off,
+                             unsigned char *Out) {
+  sldAtAll(In + Off, Out,
+           std::make_integer_sequence<int, SIMDIZE_NATIVE_V + 1>());
+}
+
+extern "C" void probe_shiftpair_at(const unsigned char *In, long Off, long S,
+                                   unsigned char *Out) {
+  const unsigned char *P = In + Off;
+  vx_st(Out, vx_shiftpair_at(vx_ld(P), vx_ld(P + SIMDIZE_NATIVE_V), S, P));
 }
 )";
   return Src;
@@ -81,10 +107,17 @@ TEST_P(NativeShifts, EveryAmountMatchesConcatWindow) {
   ASSERT_NE(M, nullptr) << Error;
   using SldFn = void (*)(const unsigned char *, unsigned char *);
   using PairFn = void (*)(const unsigned char *, long, unsigned char *);
+  using SldAtFn = void (*)(const unsigned char *, long, unsigned char *);
+  using PairAtFn = void (*)(const unsigned char *, long, long,
+                            unsigned char *);
   auto Sld = reinterpret_cast<SldFn>(M->symbol("probe_sld"));
   auto Pair = reinterpret_cast<PairFn>(M->symbol("probe_shiftpair"));
+  auto SldAt = reinterpret_cast<SldAtFn>(M->symbol("probe_sld_at"));
+  auto PairAt = reinterpret_cast<PairAtFn>(M->symbol("probe_shiftpair_at"));
   ASSERT_NE(Sld, nullptr);
   ASSERT_NE(Pair, nullptr);
+  ASSERT_NE(SldAt, nullptr);
+  ASSERT_NE(PairAt, nullptr);
 
   auto Buf = std::make_unique<ProbeBuffers>();
   std::mt19937 Rng(V * 31 + static_cast<unsigned>(Isa));
@@ -103,6 +136,25 @@ TEST_P(NativeShifts, EveryAmountMatchesConcatWindow) {
       Pair(Buf->In, static_cast<long>(S), Buf->Out);
       EXPECT_EQ(std::memcmp(Buf->Out, Buf->In + S, V), 0)
           << "vx_shiftpair(A, B, " << S << ") draw " << Draw;
+    }
+
+    // The chunk pair's address anywhere in its first chunk: the first and
+    // last byte, and a random one.
+    for (long Off : {0L, static_cast<long>(V - 1),
+                     static_cast<long>(Rng() % V)}) {
+      std::memset(Buf->Out, 0, sizeof(Buf->Out));
+      SldAt(Buf->In, Off, Buf->Out);
+      for (unsigned N = 0; N <= V; ++N)
+        EXPECT_EQ(std::memcmp(Buf->Out + N * V, Buf->In + N, V), 0)
+            << "vx_sld_at<" << N << "> at +" << Off << " draw " << Draw;
+
+      for (unsigned S = 0; S <= V; ++S) {
+        std::memset(Buf->Out, 0, V);
+        PairAt(Buf->In, Off, static_cast<long>(S), Buf->Out);
+        EXPECT_EQ(std::memcmp(Buf->Out, Buf->In + S, V), 0)
+            << "vx_shiftpair_at(A, B, " << S << ") at +" << Off << " draw "
+            << Draw;
+      }
     }
   }
 }

@@ -557,7 +557,9 @@ TEST_P(WideMachineTest, SplatFillsEveryLane) {
 INSTANTIATE_TEST_SUITE_P(WideTargets, WideMachineTest,
                          ::testing::Values(32u, 64u),
                          [](const ::testing::TestParamInfo<unsigned> &I) {
-                           return "V" + std::to_string(I.param);
+                           std::string Name = "V";
+                           Name += std::to_string(I.param);
+                           return Name;
                          });
 
 } // namespace

@@ -218,7 +218,7 @@ void sectionEnvelope(std::string &Md, const Input &In) {
     for (const auto &[K, _] : First.Obj) {
       const Value *C = member(Row, K.c_str());
       if (C && C->isNumber())
-        Md += " " + fmtNum(C->Num) + " |";
+        append(Md, ' ', fmtNum(C->Num), " |");
       else if (C && C->isString())
         Md += " " + C->Str + " |";
       else if (C && C->isBool())
