@@ -84,11 +84,13 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
   return Out.good();
 }
 
-/// The bytes of the wrapper header every emitted TU includes, read once
-/// per process from the directory the compiler is pointed at.
+/// The bytes of the wrapper headers every emitted TU includes, read once
+/// per process from the directory the compiler is pointed at:
+/// simdize_x86.h, then the register operations it includes.
 const std::string &wrapperHeader() {
   static const std::string Text =
-      readFile(SIMDIZE_NATIVE_INCLUDE_DIR "/simdize_x86.h");
+      readFile(SIMDIZE_NATIVE_INCLUDE_DIR "/simdize_x86.h") +
+      readFile(SIMDIZE_NATIVE_INCLUDE_DIR "/simdize_vm_ops.h");
   return Text;
 }
 

@@ -11,8 +11,9 @@
 /// makes repeated kernels — fuzz sweeps, benches, repeated test runs —
 /// cost one dlopen instead of one compiler invocation. Keys are the
 /// FNV-1a hash of (compiler, flags, wrapper header bytes, source): a new
-/// generator, toolchain or simdize_x86.h misses rather than reusing a
-/// kernel built from other code (up to a 64-bit hash collision).
+/// generator, toolchain, simdize_x86.h or simdize_vm_ops.h misses rather
+/// than reusing a kernel built from other code (up to a 64-bit hash
+/// collision).
 ///
 /// Thread safety: compileAndLoad may be called from any thread. Calls for
 /// different keys compile concurrently; calls for the same key share one
@@ -63,8 +64,9 @@ struct NativeCompileStats {
 
 /// The cache key of compiling \p Source for \p Isa against the wrapper
 /// header bytes \p Header: FNV-1a over (compiler, flags, header, source).
-/// compileAndLoad passes the simdize_x86.h its compiler command includes,
-/// read once per process, and stores the .so as nk_<key>.so.
+/// compileAndLoad passes the bytes of the simdize_x86.h its compiler
+/// command includes followed by those of simdize_vm_ops.h, read once per
+/// process, and stores the .so as nk_<key>.so.
 uint64_t compileCacheKey(const std::string &Source, ISA Isa,
                          const std::string &Header);
 

@@ -7,32 +7,34 @@
 /// \file
 /// The thin per-ISA wrapper layer the native backend's emitted kernels
 /// compile against: one `vx_*` function per generic vector operation of
-/// the VM (`sim/Machine.cpp` is the semantic reference — every function
-/// here must be bit-identical to the interpreter on every input). The
-/// translation unit defines SIMDIZE_NATIVE_V to the vector byte width and
-/// exactly one ISA selector before including this header:
+/// the VM. The register operations are defined once, in simdize_vm_ops.h,
+/// which this header includes and which the decoded engine shares; the
+/// portable shim only wraps them, and the SSE2, AVX2 and AVX-512 rows
+/// are intrinsics that must be bit-identical to them on every input
+/// (tests/VmOpsTest.cpp and tests/NativeShiftTest.cpp check every row on
+/// every ISA the host runs). The translation unit defines
+/// SIMDIZE_NATIVE_V to the vector byte width and exactly one ISA selector
+/// before including this header:
 ///
 ///   SIMDIZE_NATIVE_ISA_SHIM    portable scalar model, any power-of-2 V
 ///   SIMDIZE_NATIVE_ISA_SSE2    __m128i intrinsics, V = 16
 ///   SIMDIZE_NATIVE_ISA_AVX2    __m256i intrinsics, V = 32
 ///   SIMDIZE_NATIVE_ISA_AVX512  __m512i intrinsics (F+BW), V = 64
 ///
-/// Operation semantics (all must match MachineState::execInst):
+/// Operations:
 ///
 ///   vx_ld / vx_st          address truncated to a V-byte boundary
-///   vx_sld<N>              bytes [N, N+V) of A ++ B, immediate N in [0,V]
-///   vx_shiftpair(A,B,S)    same with a runtime shift S in [0,V]
+///   vx_sld<N>              simdize_vm::vshiftpair by an immediate N
+///   vx_shiftpair(A,B,S)    simdize_vm::vshiftpair by a runtime S
 ///   vx_sld_at<N>(A,B,P)    vx_sld<N>(A, B) where A and B hold the chunks
 ///                          at trunc(P) and trunc(P) + V: the emitter's
 ///                          proof that both are loads of one stream
 ///   vx_shiftpair_at(A,B,S,P)  the same for vx_shiftpair
-///   vx_splice(A,B,P)       first P bytes from A, the rest from B
-///   vx_splat_i8/16/32      lane-replicated immediate (little-endian)
-///   vx_add/sub/mul_*       wrap-around unsigned lane arithmetic
-///   vx_min/max_*           signed lane comparisons
-///   vx_and/or/xor_*        bitwise (lane width irrelevant)
-///   vx_cmp_{lt,le,gt,ge,eq,ne}_*  signed lane compare to all-ones/zero mask
-///   vx_sel(M,S,C)          bytewise (S & M) | (C & ~M) — the vselect blend
+///   vx_splice(A,B,P)       simdize_vm::vsplice
+///   vx_splat_i8/16/32      simdize_vm::splat at 1-, 2- and 4-byte lanes
+///   vx_sel(M,S,C)          simdize_vm::vselect
+///   NAME_i8/16/32          row NAME of SIMDIZE_VM_BINOPS or SIMDIZE_VM_CMPS
+///                          (vx_add, ..., vx_cmp_lt, ...) at that lane width
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +44,8 @@
 #ifndef SIMDIZE_NATIVE_V
 #error "define SIMDIZE_NATIVE_V to the vector byte width before including"
 #endif
+
+#include "simdize_vm_ops.h"
 
 #include <cstdint>
 #include <cstring>
@@ -86,11 +90,9 @@ inline void vx_st(unsigned char *Addr, vx_t V) {
 }
 
 inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
-  unsigned char Concat[2 * SIMDIZE_NATIVE_V];
-  std::memcpy(Concat, A.B, SIMDIZE_NATIVE_V);
-  std::memcpy(Concat + SIMDIZE_NATIVE_V, B.B, SIMDIZE_NATIVE_V);
   vx_t Out;
-  std::memcpy(Out.B, Concat + S, SIMDIZE_NATIVE_V);
+  simdize_vm::vshiftpair(Out.B, A.B, B.B, static_cast<unsigned>(S),
+                         SIMDIZE_NATIVE_V);
   return Out;
 }
 
@@ -113,99 +115,50 @@ inline vx_t vx_shiftpair_at(vx_t A, vx_t B, long S, const unsigned char *) {
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
   vx_t Out;
-  for (int K = 0; K < SIMDIZE_NATIVE_V; ++K)
-    Out.B[K] = K < P ? A.B[K] : B.B[K];
+  simdize_vm::vsplice(Out.B, A.B, B.B, static_cast<unsigned>(P),
+                      SIMDIZE_NATIVE_V);
+  return Out;
+}
+
+inline vx_t vx_sel(vx_t Mask, vx_t IfSet, vx_t IfClear) {
+  vx_t Out;
+  simdize_vm::vselect(Out.B, Mask.B, IfSet.B, IfClear.B, SIMDIZE_NATIVE_V);
   return Out;
 }
 
 namespace simdize_x86_detail {
 
-template <typename Lane, typename Fn> inline vx_t lanewise(vx_t A, vx_t B,
-                                                           Fn F) {
+template <unsigned Bytes> inline vx_t splat(long Value) {
   vx_t Out;
-  for (unsigned K = 0; K < SIMDIZE_NATIVE_V / sizeof(Lane); ++K) {
-    Lane X, Y;
-    std::memcpy(&X, A.B + K * sizeof(Lane), sizeof(Lane));
-    std::memcpy(&Y, B.B + K * sizeof(Lane), sizeof(Lane));
-    Lane R = F(X, Y);
-    std::memcpy(Out.B + K * sizeof(Lane), &R, sizeof(Lane));
-  }
+  simdize_vm::splat(Out.B, Value, Bytes, SIMDIZE_NATIVE_V);
   return Out;
 }
 
-template <typename Lane> inline vx_t splat(long Value) {
+template <typename Op, unsigned Bytes> inline vx_t lanes(vx_t A, vx_t B) {
   vx_t Out;
-  Lane V = static_cast<Lane>(Value);
-  for (unsigned K = 0; K < SIMDIZE_NATIVE_V / sizeof(Lane); ++K)
-    std::memcpy(Out.B + K * sizeof(Lane), &V, sizeof(Lane));
+  simdize_vm::lanes<Op, Bytes>(Out.B, A.B, B.B, SIMDIZE_NATIVE_V);
   return Out;
 }
 
 } // namespace simdize_x86_detail
 
-#define SIMDIZE_X86_BINOP(NAME, LANE, EXPR)                                  \
-  inline vx_t NAME(vx_t A, vx_t B) {                                         \
-    return simdize_x86_detail::lanewise<LANE>(                               \
-        A, B, [](LANE X, LANE Y) -> LANE { return EXPR; });                  \
+inline vx_t vx_splat_i8(long V) { return simdize_x86_detail::splat<1>(V); }
+inline vx_t vx_splat_i16(long V) { return simdize_x86_detail::splat<2>(V); }
+inline vx_t vx_splat_i32(long V) { return simdize_x86_detail::splat<4>(V); }
+
+#define SIMDIZE_X86_SHIM_LANES(KIND, NAME, SIGN, EXPR)                       \
+  inline vx_t NAME##_i8(vx_t A, vx_t B) {                                    \
+    return simdize_x86_detail::lanes<simdize_vm::NAME, 1>(A, B);             \
+  }                                                                          \
+  inline vx_t NAME##_i16(vx_t A, vx_t B) {                                   \
+    return simdize_x86_detail::lanes<simdize_vm::NAME, 2>(A, B);             \
+  }                                                                          \
+  inline vx_t NAME##_i32(vx_t A, vx_t B) {                                   \
+    return simdize_x86_detail::lanes<simdize_vm::NAME, 4>(A, B);             \
   }
-
-SIMDIZE_X86_BINOP(vx_add_i8, uint8_t, X + Y)
-SIMDIZE_X86_BINOP(vx_sub_i8, uint8_t, X - Y)
-SIMDIZE_X86_BINOP(vx_mul_i8, uint8_t, X *Y)
-SIMDIZE_X86_BINOP(vx_and_i8, uint8_t, X &Y)
-SIMDIZE_X86_BINOP(vx_or_i8, uint8_t, X | Y)
-SIMDIZE_X86_BINOP(vx_xor_i8, uint8_t, X ^ Y)
-SIMDIZE_X86_BINOP(vx_add_i16, uint16_t, X + Y)
-SIMDIZE_X86_BINOP(vx_sub_i16, uint16_t, X - Y)
-SIMDIZE_X86_BINOP(vx_mul_i16, uint16_t, X *Y)
-SIMDIZE_X86_BINOP(vx_and_i16, uint16_t, X &Y)
-SIMDIZE_X86_BINOP(vx_or_i16, uint16_t, X | Y)
-SIMDIZE_X86_BINOP(vx_xor_i16, uint16_t, X ^ Y)
-SIMDIZE_X86_BINOP(vx_add_i32, uint32_t, X + Y)
-SIMDIZE_X86_BINOP(vx_sub_i32, uint32_t, X - Y)
-SIMDIZE_X86_BINOP(vx_mul_i32, uint32_t, X *Y)
-SIMDIZE_X86_BINOP(vx_and_i32, uint32_t, X &Y)
-SIMDIZE_X86_BINOP(vx_or_i32, uint32_t, X | Y)
-SIMDIZE_X86_BINOP(vx_xor_i32, uint32_t, X ^ Y)
-SIMDIZE_X86_BINOP(vx_min_i8, int8_t, X < Y ? X : Y)
-SIMDIZE_X86_BINOP(vx_max_i8, int8_t, X > Y ? X : Y)
-SIMDIZE_X86_BINOP(vx_min_i16, int16_t, X < Y ? X : Y)
-SIMDIZE_X86_BINOP(vx_max_i16, int16_t, X > Y ? X : Y)
-SIMDIZE_X86_BINOP(vx_min_i32, int32_t, X < Y ? X : Y)
-SIMDIZE_X86_BINOP(vx_max_i32, int32_t, X > Y ? X : Y)
-
-#define SIMDIZE_X86_CMP(NAME, OP)                                            \
-  SIMDIZE_X86_BINOP(NAME##_i8, int8_t, X OP Y ? int8_t(-1) : int8_t(0))      \
-  SIMDIZE_X86_BINOP(NAME##_i16, int16_t, X OP Y ? int16_t(-1) : int16_t(0))  \
-  SIMDIZE_X86_BINOP(NAME##_i32, int32_t, X OP Y ? int32_t(-1) : int32_t(0))
-
-SIMDIZE_X86_CMP(vx_cmp_lt, <)
-SIMDIZE_X86_CMP(vx_cmp_le, <=)
-SIMDIZE_X86_CMP(vx_cmp_gt, >)
-SIMDIZE_X86_CMP(vx_cmp_ge, >=)
-SIMDIZE_X86_CMP(vx_cmp_eq, ==)
-SIMDIZE_X86_CMP(vx_cmp_ne, !=)
-
-#undef SIMDIZE_X86_CMP
-#undef SIMDIZE_X86_BINOP
-
-inline vx_t vx_sel(vx_t Mask, vx_t IfSet, vx_t IfClear) {
-  vx_t Out;
-  for (int K = 0; K < SIMDIZE_NATIVE_V; ++K)
-    Out.B[K] = static_cast<unsigned char>((IfSet.B[K] & Mask.B[K]) |
-                                          (IfClear.B[K] & ~Mask.B[K]));
-  return Out;
-}
-
-inline vx_t vx_splat_i8(long V) {
-  return simdize_x86_detail::splat<uint8_t>(V);
-}
-inline vx_t vx_splat_i16(long V) {
-  return simdize_x86_detail::splat<uint16_t>(V);
-}
-inline vx_t vx_splat_i32(long V) {
-  return simdize_x86_detail::splat<uint32_t>(V);
-}
+SIMDIZE_VM_BINOPS(SIMDIZE_X86_SHIM_LANES)
+SIMDIZE_VM_CMPS(SIMDIZE_X86_SHIM_LANES)
+#undef SIMDIZE_X86_SHIM_LANES
 
 //===----------------------------------------------------------------------===//
 // SSE2: __m128i, V = 16. Baseline x86-64 — always compilable there.

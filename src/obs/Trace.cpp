@@ -49,15 +49,19 @@ std::string Tracer::chromeEventsFragment() const {
   }
   // Chrome's viewer nests same-tid "X" events by timestamp containment, but
   // only reliably when parents precede children; destruction order records
-  // children first, so sort by (tid, start, -dur).
-  std::stable_sort(Snapshot.begin(), Snapshot.end(),
-                   [](const TraceEvent &A, const TraceEvent &B) {
-                     if (A.Tid != B.Tid)
-                       return A.Tid < B.Tid;
-                     if (A.StartUs != B.StartUs)
-                       return A.StartUs < B.StartUs;
-                     return A.DurUs > B.DurUs;
-                   });
+  // children first, so sort by (tid, start, -dur). A child that opens and
+  // closes within its parent's first microsecond ties with it on both;
+  // open order, which puts a parent before its children, breaks the tie.
+  std::sort(Snapshot.begin(), Snapshot.end(),
+            [](const TraceEvent &A, const TraceEvent &B) {
+              if (A.Tid != B.Tid)
+                return A.Tid < B.Tid;
+              if (A.StartUs != B.StartUs)
+                return A.StartUs < B.StartUs;
+              if (A.DurUs != B.DurUs)
+                return A.DurUs > B.DurUs;
+              return A.Seq < B.Seq;
+            });
 
   uint64_t Pid = TraceId ? TraceId : 1;
   std::string Out;

@@ -62,6 +62,7 @@ struct TraceEvent {
   int64_t StartUs = 0;    ///< Microseconds since the tracer's epoch.
   int64_t DurUs = 0;      ///< Span duration in microseconds.
   uint32_t Tid = 0;       ///< Small per-tracer thread id.
+  uint64_t Seq = 0;       ///< Open order within the tracer.
   /// Optional (key, pre-rendered JSON value) arguments; values must be
   /// valid JSON fragments (use json::Writer or plain number strings).
   std::vector<std::pair<const char *, std::string>> Args;
@@ -85,6 +86,11 @@ public:
 
   /// Small dense id for the calling thread, allocated on first use.
   uint32_t tidOf(std::thread::id Id);
+
+  /// The next span's place in open order. Thread-safe.
+  uint64_t openSeq() {
+    return NextSeq.fetch_add(1, std::memory_order_relaxed);
+  }
 
   size_t eventCount() const;
 
@@ -112,6 +118,7 @@ public:
 private:
   std::chrono::steady_clock::time_point Epoch;
   uint64_t TraceId = 0;
+  std::atomic<uint64_t> NextSeq{0};
   mutable std::mutex Mu;
   std::vector<TraceEvent> Events;
   std::vector<std::pair<std::thread::id, uint32_t>> Tids;
@@ -177,8 +184,10 @@ class Span {
 public:
   explicit Span(const char *Name, const char *Cat = "pipeline")
       : T(currentTracer()), Name(Name), Cat(Cat) {
-    if (T)
+    if (T) {
       StartUs = T->nowUs();
+      Seq = T->openSeq();
+    }
   }
 
   Span(const Span &) = delete;
@@ -193,6 +202,7 @@ public:
     E.StartUs = StartUs;
     E.DurUs = T->nowUs() - StartUs;
     E.Tid = T->tidOf(std::this_thread::get_id());
+    E.Seq = Seq;
     E.Args = std::move(Args);
     T->record(std::move(E));
   }
@@ -211,6 +221,7 @@ private:
   const char *Name;
   const char *Cat;
   int64_t StartUs = 0;
+  uint64_t Seq = 0;
   std::vector<std::pair<const char *, std::string>> Args;
 };
 

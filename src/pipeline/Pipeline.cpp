@@ -87,8 +87,7 @@ policies::PolicyKind pipeline::resolvePolicy(const ir::Loop &L,
 }
 
 CompileResult pipeline::runPipeline(const ir::Loop &L,
-                                    const CompileRequest &Req,
-                                    const PipelineHooks &Hooks) {
+                                    const CompileRequest &Req) {
   obs::Span PipelineSpan("pipeline");
   if (PipelineSpan.active())
     PipelineSpan.argStr("config", Req.name());
@@ -96,15 +95,6 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
   CompileResult Res = compileRaw(L, Req);
   if (!Res.Simd.ok())
     return Res;
-
-  if (Hooks.RawProgram) {
-    codegen::SimdizeOptions Simd = Req.Simd;
-    Simd.Policy = Res.ResolvedPolicy;
-    if (!Hooks.RawProgram(Res.Simd, Simd)) {
-      Res.HookAborted = true;
-      return Res;
-    }
-  }
 
   optimize(Res, Req);
   return Res;

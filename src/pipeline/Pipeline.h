@@ -41,7 +41,6 @@
 #include "oracle/Oracle.h"
 #include "sim/Checker.h"
 
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -116,19 +115,6 @@ struct CompileRequest {
   const Target &target() const { return Simd.Tgt; }
 };
 
-/// Caller windows into the pipeline.
-struct PipelineHooks {
-  /// Invoked on the raw program right after simdize() succeeds, before
-  /// the optimizer. The second argument is the SimdizeOptions the program
-  /// was actually compiled with — under AutoPolicy its Policy is the
-  /// resolved one, so per-policy oracles hold the program to the right
-  /// contract. Returning false aborts the pipeline
-  /// (CompileResult::HookAborted); the hook owns reporting why.
-  std::function<bool(codegen::SimdizeResult &,
-                     const codegen::SimdizeOptions &)>
-      RawProgram;
-};
-
 /// Everything one runPipeline() call produced.
 struct CompileResult {
   /// The simdizer's result: program + placed-shift accounting on success,
@@ -149,9 +135,6 @@ struct CompileResult {
   /// Statements offset reassociation rewrote.
   unsigned Reassociated = 0;
 
-  /// The RawProgram hook returned false.
-  bool HookAborted = false;
-
   /// The placement policy the program was compiled with: the request's
   /// own under normal operation, the auto-selected one under AutoPolicy.
   policies::PolicyKind ResolvedPolicy = policies::PolicyKind::Zero;
@@ -170,13 +153,10 @@ struct CompileResult {
   /// The request's name(), for diagnostics attribution.
   std::string ConfigName;
 
-  bool ok() const {
-    return Simd.ok() && !HookAborted && !PostOptVerifyError;
-  }
+  bool ok() const { return Simd.ok() && !PostOptVerifyError; }
 
   /// Flattened failure diagnostic: the simdizer's error or the post-opt
-  /// verification error. Empty when ok() (or when the hook aborted — the
-  /// hook reports its own reason).
+  /// verification error. Empty when ok().
   std::string error() const {
     if (!Simd.ok())
       return Simd.Error;
@@ -186,12 +166,10 @@ struct CompileResult {
   }
 };
 
-/// Runs the compile path on \p L under \p Req: compileRaw(), the
-/// RawProgram hook, then optimize(). \p L is only read; it must outlive
-/// uses of the result that reference it (checkCompiled takes it again
-/// explicitly).
-CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req,
-                          const PipelineHooks &Hooks = {});
+/// Runs the compile path on \p L under \p Req: compileRaw(), then
+/// optimize(). \p L is only read; it must outlive uses of the result that
+/// reference it (checkCompiled takes it again explicitly).
+CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req);
 
 /// The first half of runPipeline(): offset reassociation (on a private
 /// copy of the loop), policy resolution and simdize(). The result holds

@@ -7,6 +7,7 @@
 #include "sim/Decoder.h"
 
 #include "ir/Array.h"
+#include "native/simdize_vm_ops.h"
 #include "sim/Memory.h"
 #include "simdize/Target.h"
 #include "support/Debug.h"
@@ -30,136 +31,42 @@ namespace {
 constexpr unsigned MaxVectorLen = Target::MaxVectorLen;
 using VectorValue = std::array<uint8_t, MaxVectorLen>;
 
-/// Lane-typed element-wise kernel. \p U is the unsigned lane type (wrapping
-/// +,-,*,&,|,^) and \p S its signed counterpart (ordered min/max, matching
-/// the sign-extended comparisons of the reference interpreter). memcpy'd
-/// lane access keeps strict aliasing intact; the host is little-endian, the
-/// same byte order the reference engine assembles lanes in.
-template <typename U, typename S, ir::BinOpKind Kind>
-void binOpKernel(uint8_t *Dst, const uint8_t *A, const uint8_t *B,
-                 unsigned VectorLen) {
-  const unsigned Lanes = VectorLen / sizeof(U);
-  for (unsigned Lane = 0; Lane < Lanes; ++Lane) {
-    U LHS, RHS, Res;
-    std::memcpy(&LHS, A + Lane * sizeof(U), sizeof(U));
-    std::memcpy(&RHS, B + Lane * sizeof(U), sizeof(U));
-    if constexpr (Kind == ir::BinOpKind::Add)
-      Res = static_cast<U>(LHS + RHS);
-    else if constexpr (Kind == ir::BinOpKind::Sub)
-      Res = static_cast<U>(LHS - RHS);
-    else if constexpr (Kind == ir::BinOpKind::Mul)
-      Res = static_cast<U>(LHS * RHS);
-    else if constexpr (Kind == ir::BinOpKind::Min)
-      Res = static_cast<U>(static_cast<S>(LHS) < static_cast<S>(RHS) ? LHS
-                                                                     : RHS);
-    else if constexpr (Kind == ir::BinOpKind::Max)
-      Res = static_cast<U>(static_cast<S>(LHS) > static_cast<S>(RHS) ? LHS
-                                                                     : RHS);
-    else if constexpr (Kind == ir::BinOpKind::And)
-      Res = static_cast<U>(LHS & RHS);
-    else if constexpr (Kind == ir::BinOpKind::Or)
-      Res = static_cast<U>(LHS | RHS);
-    else
-      Res = static_cast<U>(LHS ^ RHS);
-    std::memcpy(Dst + Lane * sizeof(U), &Res, sizeof(U));
+/// Row \p Op of simdize_vm_ops.h at ElemSize-byte lanes.
+template <typename Op> BinOpKernel laneKernel(unsigned ElemSize) {
+  switch (ElemSize) {
+  case 1:
+    return simdize_vm::lanes<Op, 1>;
+  case 2:
+    return simdize_vm::lanes<Op, 2>;
+  case 4:
+    return simdize_vm::lanes<Op, 4>;
   }
+  simdize_unreachable("unsupported lane width");
 }
 
-template <typename U, typename S>
-BinOpKernel kernelForKind(ir::BinOpKind Kind) {
+/// The kernel of a vbinop. The rows generate the cases, so -Wswitch
+/// proves every enumerator has a row.
+BinOpKernel kernelFor(ir::BinOpKind Kind, unsigned ElemSize) {
   switch (Kind) {
-  case ir::BinOpKind::Add:
-    return binOpKernel<U, S, ir::BinOpKind::Add>;
-  case ir::BinOpKind::Sub:
-    return binOpKernel<U, S, ir::BinOpKind::Sub>;
-  case ir::BinOpKind::Mul:
-    return binOpKernel<U, S, ir::BinOpKind::Mul>;
-  case ir::BinOpKind::Min:
-    return binOpKernel<U, S, ir::BinOpKind::Min>;
-  case ir::BinOpKind::Max:
-    return binOpKernel<U, S, ir::BinOpKind::Max>;
-  case ir::BinOpKind::And:
-    return binOpKernel<U, S, ir::BinOpKind::And>;
-  case ir::BinOpKind::Or:
-    return binOpKernel<U, S, ir::BinOpKind::Or>;
-  case ir::BinOpKind::Xor:
-    return binOpKernel<U, S, ir::BinOpKind::Xor>;
+#define SIMDIZE_DECODER_CASE(KIND, NAME, SIGN, EXPR)                         \
+  case ir::BinOpKind::KIND:                                                  \
+    return laneKernel<simdize_vm::NAME>(ElemSize);
+    SIMDIZE_VM_BINOPS(SIMDIZE_DECODER_CASE)
+#undef SIMDIZE_DECODER_CASE
   }
   simdize_unreachable("unknown vector binop kind");
 }
 
-BinOpKernel selectKernel(ir::BinOpKind Kind, unsigned ElemSize) {
-  switch (ElemSize) {
-  case 1:
-    return kernelForKind<uint8_t, int8_t>(Kind);
-  case 2:
-    return kernelForKind<uint16_t, int16_t>(Kind);
-  case 4:
-    return kernelForKind<uint32_t, int32_t>(Kind);
-  }
-  simdize_unreachable("unsupported lane width");
-}
-
-/// Per-lane signed compare producing an all-ones / all-zeros lane mask,
-/// matching the reference interpreter's VCmp. Same signature as binOpKernel
-/// so a vcmp decodes to DKind::BinOp with a compare kernel.
-template <typename U, typename S, vir::SCmpKind Kind>
-void cmpKernel(uint8_t *Dst, const uint8_t *A, const uint8_t *B,
-               unsigned VectorLen) {
-  const unsigned Lanes = VectorLen / sizeof(U);
-  for (unsigned Lane = 0; Lane < Lanes; ++Lane) {
-    U LHSBits, RHSBits;
-    std::memcpy(&LHSBits, A + Lane * sizeof(U), sizeof(U));
-    std::memcpy(&RHSBits, B + Lane * sizeof(U), sizeof(U));
-    S LHS = static_cast<S>(LHSBits);
-    S RHS = static_cast<S>(RHSBits);
-    bool Taken;
-    if constexpr (Kind == vir::SCmpKind::LT)
-      Taken = LHS < RHS;
-    else if constexpr (Kind == vir::SCmpKind::LE)
-      Taken = LHS <= RHS;
-    else if constexpr (Kind == vir::SCmpKind::GT)
-      Taken = LHS > RHS;
-    else if constexpr (Kind == vir::SCmpKind::GE)
-      Taken = LHS >= RHS;
-    else if constexpr (Kind == vir::SCmpKind::EQ)
-      Taken = LHS == RHS;
-    else
-      Taken = LHS != RHS;
-    U Res = Taken ? static_cast<U>(~static_cast<U>(0)) : static_cast<U>(0);
-    std::memcpy(Dst + Lane * sizeof(U), &Res, sizeof(U));
-  }
-}
-
-template <typename U, typename S>
-BinOpKernel cmpKernelForKind(vir::SCmpKind Kind) {
+/// A vcmp is a lane kernel whose lanes are all-ones / all-zeros masks.
+BinOpKernel kernelFor(vir::SCmpKind Kind, unsigned ElemSize) {
   switch (Kind) {
-  case vir::SCmpKind::LT:
-    return cmpKernel<U, S, vir::SCmpKind::LT>;
-  case vir::SCmpKind::LE:
-    return cmpKernel<U, S, vir::SCmpKind::LE>;
-  case vir::SCmpKind::GT:
-    return cmpKernel<U, S, vir::SCmpKind::GT>;
-  case vir::SCmpKind::GE:
-    return cmpKernel<U, S, vir::SCmpKind::GE>;
-  case vir::SCmpKind::EQ:
-    return cmpKernel<U, S, vir::SCmpKind::EQ>;
-  case vir::SCmpKind::NE:
-    return cmpKernel<U, S, vir::SCmpKind::NE>;
+#define SIMDIZE_DECODER_CASE(KIND, NAME, SIGN, EXPR)                         \
+  case vir::SCmpKind::KIND:                                                  \
+    return laneKernel<simdize_vm::NAME>(ElemSize);
+    SIMDIZE_VM_CMPS(SIMDIZE_DECODER_CASE)
+#undef SIMDIZE_DECODER_CASE
   }
   simdize_unreachable("unknown vector compare kind");
-}
-
-BinOpKernel selectCmpKernel(vir::SCmpKind Kind, unsigned ElemSize) {
-  switch (ElemSize) {
-  case 1:
-    return cmpKernelForKind<uint8_t, int8_t>(Kind);
-  case 2:
-    return cmpKernelForKind<uint16_t, int16_t>(Kind);
-  case 4:
-    return cmpKernelForKind<uint32_t, int32_t>(Kind);
-  }
-  simdize_unreachable("unsupported lane width");
 }
 
 /// Charges one executed instruction of category \p Cat to its bucket of
@@ -263,14 +170,14 @@ DInst DecodedProgram::decodeInst(const VInst &I, const MemoryLayout &Layout) {
     D.VDst = I.VDst.Id;
     D.VSrc1 = I.VSrc1.Id;
     D.VSrc2 = I.VSrc2.Id;
-    D.Kernel = selectKernel(I.VectorOp, I.ElemSize);
+    D.Kernel = kernelFor(I.VectorOp, I.ElemSize);
     break;
   case VOpcode::VCmp:
     D.Kind = DKind::BinOp;
     D.VDst = I.VDst.Id;
     D.VSrc1 = I.VSrc1.Id;
     D.VSrc2 = I.VSrc2.Id;
-    D.Kernel = selectCmpKernel(I.CmpOp, I.ElemSize);
+    D.Kernel = kernelFor(I.CmpOp, I.ElemSize);
     break;
   case VOpcode::VSelect:
     D.Kind = DKind::Select;
@@ -438,52 +345,38 @@ private:
           ++Stats.ChunkStores[static_cast<size_t>(Chunk >> ChunkShift)];
         break;
       }
-      case DKind::Splat: {
-        int64_t Value = SRegs[I.SOp1];
-        VectorValue &Dst = VRegs[I.VDst];
-        for (int64_t Byte = 0; Byte < V; ++Byte)
-          Dst[static_cast<size_t>(Byte)] = static_cast<uint8_t>(
-              static_cast<uint64_t>(Value) >> (8 * (Byte % I.ElemSize)));
+      case DKind::Splat:
+        simdize_vm::splat(VRegs[I.VDst].data(), SRegs[I.SOp1], I.ElemSize,
+                          DP.VectorLen);
         break;
-      }
       case DKind::ShiftPair: {
         int64_t Shift = SRegs[I.SOp1];
         assert(Shift >= 0 && Shift <= V &&
                "vshiftpair amount outside [0, V]");
-        uint8_t Concat[2 * MaxVectorLen];
-        std::memcpy(Concat, VRegs[I.VSrc1].data(), static_cast<size_t>(V));
-        std::memcpy(Concat + V, VRegs[I.VSrc2].data(),
-                    static_cast<size_t>(V));
-        std::memcpy(VRegs[I.VDst].data(), Concat + Shift,
-                    static_cast<size_t>(V));
+        VectorValue Out;
+        simdize_vm::vshiftpair(Out.data(), VRegs[I.VSrc1].data(),
+                               VRegs[I.VSrc2].data(),
+                               static_cast<unsigned>(Shift), DP.VectorLen);
+        VRegs[I.VDst] = Out;
         break;
       }
       case DKind::Splice: {
         int64_t Point = SRegs[I.SOp1];
         assert(Point >= 0 && Point <= V && "vsplice point outside [0, V]");
-        VectorValue Out = VRegs[I.VSrc2];
-        std::memcpy(Out.data(), VRegs[I.VSrc1].data(),
-                    static_cast<size_t>(Point));
-        VRegs[I.VDst] = Out;
+        simdize_vm::vsplice(VRegs[I.VDst].data(), VRegs[I.VSrc1].data(),
+                            VRegs[I.VSrc2].data(),
+                            static_cast<unsigned>(Point), DP.VectorLen);
         break;
       }
       case DKind::BinOp:
         I.Kernel(VRegs[I.VDst].data(), VRegs[I.VSrc1].data(),
                  VRegs[I.VSrc2].data(), DP.VectorLen);
         break;
-      case DKind::Select: {
-        const VectorValue &Mask = VRegs[I.VSrc1];
-        const VectorValue &IfSet = VRegs[I.VSrc2];
-        const VectorValue &IfClear = VRegs[I.VSrc3];
-        VectorValue Out;
-        for (int64_t Byte = 0; Byte < V; ++Byte) {
-          size_t Idx = static_cast<size_t>(Byte);
-          Out[Idx] = static_cast<uint8_t>((IfSet[Idx] & Mask[Idx]) |
-                                          (IfClear[Idx] & ~Mask[Idx]));
-        }
-        VRegs[I.VDst] = Out;
+      case DKind::Select:
+        simdize_vm::vselect(VRegs[I.VDst].data(), VRegs[I.VSrc1].data(),
+                            VRegs[I.VSrc2].data(), VRegs[I.VSrc3].data(),
+                            DP.VectorLen);
         break;
-      }
       case DKind::Copy:
         VRegs[I.VDst] = VRegs[I.VSrc1];
         break;

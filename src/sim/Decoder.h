@@ -15,8 +15,8 @@
 ///    by materializing every immediate into a constant slot appended to the
 ///    scalar register file — at run time every scalar operand is a plain
 ///    register read, branch-free;
-///  * VBinOp dispatches through a kernel pointer specialized per
-///    (BinOpKind, ElemSize) that operates on typed lanes instead of
+///  * VBinOp and VCmp dispatch through a kernel pointer chosen per
+///    (operation, ElemSize) that operates on typed lanes instead of
 ///    assembling lanes byte-by-byte;
 ///  * the steady body's OpCounts are computed once at decode time; the
 ///    steady state multiplies them by the iteration count instead of
@@ -31,6 +31,12 @@
 /// oracle and the tests that assert it do; the fuzzer's configurations
 /// without reuse do not. Tracking adds the chunk-counter increments and
 /// nothing else: op counts stay batched.
+///
+/// The register operations themselves (the lane kernels, vsplat,
+/// vshiftpair, vsplice and vselect) are not written here: they come from
+/// native/simdize_vm_ops.h, the one definition this engine shares with
+/// the native tier's portable shim. Loads, stores, scalar operations and
+/// the accounting stay here.
 ///
 /// The byte-at-a-time interpreter in Machine.{h,cpp} stays as the reference
 /// implementation; tests/EngineEquivalenceTest.cpp differentially checks
@@ -56,7 +62,8 @@ class MemoryLayout;
 
 namespace detail {
 
-/// Specialized vector-compute kernel: Dst = A <op> B over typed lanes.
+/// Vector-compute kernel, a row of native/simdize_vm_ops.h at one lane
+/// width: Dst = A <op> B over typed lanes.
 using BinOpKernel = void (*)(uint8_t *Dst, const uint8_t *A,
                              const uint8_t *B, unsigned VectorLen);
 

@@ -17,6 +17,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Loop.h"
 #include "native/NativeEmitter.h"
+#include "native/simdize_vm_ops.h"
 #include "opt/OffsetReassoc.h"
 #include "opt/Pipeline.h"
 #include "parser/LoopParser.h"
@@ -77,10 +78,13 @@ void roundTrip(ir::BinOpKind Op, ir::ElemType Ty, uint64_t Seed) {
 
 TEST(BinOps, OracleAgreementAllOpsAllWidths) {
   uint64_t Seed = 1000;
-  for (ir::BinOpKind Op :
-       {ir::BinOpKind::Add, ir::BinOpKind::Sub, ir::BinOpKind::Mul,
-        ir::BinOpKind::Min, ir::BinOpKind::Max, ir::BinOpKind::And,
-        ir::BinOpKind::Or, ir::BinOpKind::Xor})
+  // Every operator of the engines' shared lane rows.
+  const ir::BinOpKind Ops[] = {
+#define SIMDIZE_TEST_KIND(KIND, NAME, SIGN, EXPR) ir::BinOpKind::KIND,
+      SIMDIZE_VM_BINOPS(SIMDIZE_TEST_KIND)
+#undef SIMDIZE_TEST_KIND
+  };
+  for (ir::BinOpKind Op : Ops)
     for (ir::ElemType Ty :
          {ir::ElemType::Int8, ir::ElemType::Int16, ir::ElemType::Int32})
       roundTrip(Op, Ty, ++Seed);

@@ -605,9 +605,9 @@ TEST(NativeCache, RepeatedCompileHitsCache) {
 }
 
 TEST(NativeCache, KeyCoversWrapperHeader) {
-  // The TU only #includes simdize_x86.h, so the header's bytes must be
-  // part of the key or a cache filled against an older header keeps
-  // serving kernels built from it.
+  // The TU only #includes simdize_x86.h, which includes simdize_vm_ops.h,
+  // so the bytes of both must be part of the key or a cache filled against
+  // an older header keeps serving kernels built from it.
   ir::Loop L = figureOneLoop(ir::ElemType::Int16);
   vir::VProgram P = compileFor(L, 16, policies::PolicyKind::Eager, false);
   native::LowerResult Lowered =
@@ -617,16 +617,27 @@ TEST(NativeCache, KeyCoversWrapperHeader) {
   // can publish its .so.
   std::random_device Rd;
   std::string Source = Lowered.Code + strf("// nonce %08x%08x\n", Rd(), Rd());
-  std::ifstream In(SIMDIZE_NATIVE_DIR "/simdize_x86.h", std::ios::binary);
-  std::string Header{std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>()};
-  ASSERT_FALSE(Header.empty());
+  auto ReadHeader = [](const char *Path) {
+    std::ifstream In(Path, std::ios::binary);
+    return std::string{std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>()};
+  };
+  std::string Wrapper = ReadHeader(SIMDIZE_NATIVE_DIR "/simdize_x86.h");
+  std::string Ops = ReadHeader(SIMDIZE_NATIVE_DIR "/simdize_vm_ops.h");
+  ASSERT_FALSE(Wrapper.empty());
+  ASSERT_FALSE(Ops.empty());
+  std::string Header = Wrapper + Ops;
 
   uint64_t Key = native::compileCacheKey(Source, native::ISA::Shim, Header);
   EXPECT_EQ(Key, native::compileCacheKey(Source, native::ISA::Shim, Header));
-  std::string Edited = Header;
-  Edited[Edited.size() / 2] ^= 1;
-  EXPECT_NE(Key, native::compileCacheKey(Source, native::ISA::Shim, Edited));
+  // A one-byte edit to either file changes the key.
+  for (std::string *File : {&Wrapper, &Ops}) {
+    std::string Saved = *File;
+    (*File)[File->size() / 2] ^= 1;
+    EXPECT_NE(Key, native::compileCacheKey(Source, native::ISA::Shim,
+                                           Wrapper + Ops));
+    *File = Saved;
+  }
   EXPECT_NE(Key,
             native::compileCacheKey(Source, native::ISA::Shim, Header + "\n"));
 

@@ -158,21 +158,4 @@ TEST(Pipeline, SurfacesSimdizerRejections) {
   EXPECT_FALSE(R.error().empty());
 }
 
-TEST(Pipeline, RawProgramHookCanAbort) {
-  ir::Loop L = parseAtWidth(16);
-  pipeline::CompileRequest Req;
-  pipeline::PipelineHooks Hooks;
-  bool Saw = false;
-  Hooks.RawProgram = [&](codegen::SimdizeResult &SR,
-                         const codegen::SimdizeOptions &) {
-    Saw = SR.ok();
-    return false;
-  };
-  pipeline::CompileResult R = pipeline::runPipeline(L, Req, Hooks);
-  EXPECT_TRUE(Saw);
-  EXPECT_TRUE(R.HookAborted);
-  EXPECT_FALSE(R.ok());
-  EXPECT_TRUE(R.error().empty()); // The hook owns reporting its reason.
-}
-
 } // namespace
