@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -20,6 +21,7 @@
 #include <sstream>
 
 #include <dlfcn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace simdize;
@@ -82,6 +84,18 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
   std::ofstream Out(Path, std::ios::binary);
   Out.write(Contents.data(), static_cast<std::streamsize>(Contents.size()));
   return Out.good();
+}
+
+/// How the command behind a nonzero std::system status ended: "exit N" with
+/// the command's own exit code, or the signal that killed it. std::system
+/// waits for the shell to terminate, so it exited or a signal ended it.
+std::string describeStatus(int Status) {
+  if (Status == -1)
+    return "no shell could be started";
+  if (WIFSIGNALED(Status))
+    return strf("killed by signal %d, %s", WTERMSIG(Status),
+                strsignal(WTERMSIG(Status)));
+  return strf("exit %d", WEXITSTATUS(Status));
 }
 
 /// The bytes of the wrapper headers every emitted TU includes, read once
@@ -159,8 +173,8 @@ void *buildAndOpen(const std::string &Source, ISA Isa, uint64_t Key,
              SoTmp.c_str(), Cpp.c_str(), Log.c_str());
     int Rc = std::system(Cmd.c_str());
     if (Rc != 0) {
-      Error = strf("'%s' failed (exit %d): %s", Compiler.c_str(), Rc,
-                   readFile(Log).c_str());
+      Error = strf("'%s' failed (%s): %s", Compiler.c_str(),
+                   describeStatus(Rc).c_str(), readFile(Log).c_str());
       RemoveTemporaries();
       return nullptr;
     }

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The one definition of the generic SIMD machine's register operations
-/// (Section 5.1) for the two engines built on it: the decoded engine
-/// (sim/Decoder.cpp) and the portable shim of the native wrapper
-/// (simdize_x86.h). The reference interpreter, sim/Machine.cpp, keeps its
-/// own byte-at-a-time spelling and the SSE2, AVX2 and AVX-512 rows of
-/// simdize_x86.h their intrinsics; tests compare both against this file.
+/// (Section 5.1) for the engines built on it: the decoded engine
+/// (sim/Decoder.cpp) and the native wrapper (simdize_x86.h), whose
+/// portable shim runs these functions and whose SSE2, AVX2 and AVX-512
+/// lowerings apply each lane row's EXPR to a whole register of GCC vector
+/// lanes. The reference interpreter, sim/Machine.cpp, keeps its own
+/// byte-at-a-time spelling; tests compare it and every native ISA against
+/// this file.
 ///
 /// Registers are raw V-byte arrays, V a run-time parameter. Lanes are
 /// little-endian, the VM's byte order, which the host shares: lanes are
@@ -28,12 +30,20 @@
 ///   SIGN  unsigned or signed: the lanes reach EXPR zero- or sign-extended
 ///         to that type, `unsigned` or `int`;
 ///   EXPR  the result lane from the widened lanes X and Y, truncated to
-///         the lane width. A compare yields -1 (all ones) or 0.
+///         the lane width. A compare row's EXPR is the bare condition: its
+///         lane is -1 (all ones) where the condition holds, else 0, which
+///         is also what the condition yields on GCC vectors.
 ///
 /// EXPR must not overflow int at any lane width: the arithmetic rows are
 /// unsigned, so they wrap, and the signed rows only compare. Every row is
-/// a struct of that NAME in namespace simdize_vm; lanes<Op, Bytes> applies
-/// one across a register at 1-, 2- or 4-byte lanes.
+/// a struct of that NAME in namespace simdize_vm. Its expr(X, Y) is EXPR
+/// on two operands of one type: apply calls it on a pair of widened lanes,
+/// simdize_x86.h on two whole vectors of LaneFor<Op, Bytes>, computing at
+/// the lane width. So EXPR must give the same lanes either way, as the
+/// wrapping arithmetic, the bitwise operators and the signed min, max and
+/// compares do (tests/VmOpsTest.cpp checks every row on every ISA).
+/// lanes<Op, Bytes> applies a row across a register at 1-, 2- or 4-byte
+/// lanes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,22 +65,31 @@
   ROW(Xor, vx_xor, unsigned, X ^ Y)
 
 #define SIMDIZE_VM_CMPS(ROW)                                                 \
-  ROW(LT, vx_cmp_lt, signed, X < Y ? -1 : 0)                                 \
-  ROW(LE, vx_cmp_le, signed, X <= Y ? -1 : 0)                                \
-  ROW(GT, vx_cmp_gt, signed, X > Y ? -1 : 0)                                 \
-  ROW(GE, vx_cmp_ge, signed, X >= Y ? -1 : 0)                                \
-  ROW(EQ, vx_cmp_eq, signed, X == Y ? -1 : 0)                                \
-  ROW(NE, vx_cmp_ne, signed, X != Y ? -1 : 0)
+  ROW(LT, vx_cmp_lt, signed, X < Y)                                          \
+  ROW(LE, vx_cmp_le, signed, X <= Y)                                         \
+  ROW(GT, vx_cmp_gt, signed, X > Y)                                          \
+  ROW(GE, vx_cmp_ge, signed, X >= Y)                                         \
+  ROW(EQ, vx_cmp_eq, signed, X == Y)                                         \
+  ROW(NE, vx_cmp_ne, signed, X != Y)
 
 namespace simdize_vm {
 
-#define SIMDIZE_VM_DEFINE_ROW(KIND, NAME, SIGN, EXPR)                        \
+#define SIMDIZE_VM_DEFINE_ROW(NAME, SIGN, EXPR, LANE)                        \
   struct NAME {                                                              \
     using Wide = SIGN;                                                       \
-    static constexpr Wide apply(Wide X, Wide Y) { return EXPR; }             \
+    template <typename T> static constexpr auto expr(T X, T Y) {             \
+      return EXPR;                                                           \
+    }                                                                        \
+    static constexpr Wide apply(Wide X, Wide Y) { return LANE; }             \
   };
-SIMDIZE_VM_BINOPS(SIMDIZE_VM_DEFINE_ROW)
-SIMDIZE_VM_CMPS(SIMDIZE_VM_DEFINE_ROW)
+#define SIMDIZE_VM_DEFINE_BINOP(KIND, NAME, SIGN, EXPR)                      \
+  SIMDIZE_VM_DEFINE_ROW(NAME, SIGN, EXPR, expr(X, Y))
+#define SIMDIZE_VM_DEFINE_CMP(KIND, NAME, SIGN, EXPR)                        \
+  SIMDIZE_VM_DEFINE_ROW(NAME, SIGN, EXPR, expr(X, Y) ? -1 : 0)
+SIMDIZE_VM_BINOPS(SIMDIZE_VM_DEFINE_BINOP)
+SIMDIZE_VM_CMPS(SIMDIZE_VM_DEFINE_CMP)
+#undef SIMDIZE_VM_DEFINE_CMP
+#undef SIMDIZE_VM_DEFINE_BINOP
 #undef SIMDIZE_VM_DEFINE_ROW
 
 /// The unsigned and signed lane types of a lane width.
@@ -88,14 +107,19 @@ template <> struct LaneOf<4> {
   using S = int32_t;
 };
 
+/// The lane type row \p Op reads at Bytes-wide lanes: signed or unsigned
+/// as its SIGN.
+template <typename Op, unsigned Bytes>
+using LaneFor = std::conditional_t<std::is_signed_v<typename Op::Wide>,
+                                   typename LaneOf<Bytes>::S,
+                                   typename LaneOf<Bytes>::U>;
+
 /// Row \p Op on one pair of Bytes-wide lanes, as bit patterns.
 template <typename Op, unsigned Bytes>
 constexpr typename LaneOf<Bytes>::U lane(typename LaneOf<Bytes>::U X,
                                          typename LaneOf<Bytes>::U Y) {
-  using L = LaneOf<Bytes>;
-  using Ext = std::conditional_t<std::is_signed_v<typename Op::Wide>,
-                                 typename L::S, typename L::U>;
-  return static_cast<typename L::U>(
+  using Ext = LaneFor<Op, Bytes>;
+  return static_cast<typename LaneOf<Bytes>::U>(
       Op::apply(static_cast<Ext>(X), static_cast<Ext>(Y)));
 }
 

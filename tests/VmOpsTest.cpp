@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Checks of native/simdize_vm_ops.h, the one definition of the VM's
-/// register operations that the decoded engine and the native shim share:
+/// register operations that the decoded engine and every native ISA share:
 ///
 ///  * a compile-time battery: every lane row at every lane width on every
 ///    pair of edge lanes (0, 1, -1 = the unsigned maximum, the signed
@@ -15,12 +15,13 @@
 ///    row spelled to overflow int (uint16_t * uint16_t promotes to int)
 ///    stops this file from compiling;
 ///  * each row's name is the vx_ spelling the native emitter prints;
-///  * a lane probe per (ISA, V) the host runs: one TU applies every
-///    vx_<op>_i8/i16/i32 and vx_cmp_<pred>_i8/i16/i32 the rows name, and
-///    vx_splat, vx_splice and vx_sel, and each result must equal the
-///    shared definition's: all 65,536 i8 lane pairs, edge and random lanes
-///    at i16 and i32, every splice point. Emitted kernels reach an
-///    intrinsic row only when their loops use it; this reaches all of them.
+///  * a lane probe per (ISA, V): one TU applies every vx_<op>_i8/i16/i32
+///    and vx_cmp_<pred>_i8/i16/i32 the rows name, and vx_splat, vx_splice
+///    and vx_sel. Every host compiles and loads it for every ISA; where
+///    the CPU runs the ISA, each result must equal the shared definition's
+///    on all 65,536 i8 lane pairs, edge and random lanes at i16 and i32,
+///    and every splice point. Emitted kernels reach an operation only when
+///    their loops use it; this reaches all of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -303,9 +304,8 @@ class NativeLanes : public ::testing::TestWithParam<LaneCase> {};
 
 TEST_P(NativeLanes, EveryOperationMatchesTheSharedDefinition) {
   auto [Isa, V] = GetParam();
-  if (!native::hostSupportsISA(Isa))
-    GTEST_SKIP() << native::isaName(Isa) << " is not available on this CPU";
-
+  // Every host builds and loads each ISA's whole lowering; only running it
+  // needs the CPU feature.
   std::string Error;
   const native::CompiledModule *M =
       native::compileAndLoad(probeSource(Isa, V), Isa, &Error);
@@ -322,17 +322,20 @@ TEST_P(NativeLanes, EveryOperationMatchesTheSharedDefinition) {
   ASSERT_NE(Splat, nullptr);
   ASSERT_NE(Splice, nullptr);
   ASSERT_NE(Sel, nullptr);
+  const std::vector<LaneRow> Rows = laneRows();
+  for (const LaneRow &Row : Rows)
+    ASSERT_NE(M->symbol(Row.Symbol), nullptr) << Row.Symbol;
+  if (!native::hostSupportsISA(Isa))
+    GTEST_SKIP() << native::isaName(Isa) << " is not available on this CPU";
 
   auto Buf = std::make_unique<ProbeBuffers>();
   std::mt19937 Rng(V * 31 + static_cast<unsigned>(Isa));
-  const std::vector<LaneRow> Rows = laneRows();
   for (unsigned Bytes : {1u, 2u, 4u}) {
     fillLanes(*Buf, Bytes, Rng);
     for (const LaneRow &Row : Rows) {
       if (Row.Bytes != Bytes)
         continue;
       auto Probe = reinterpret_cast<LaneFn>(M->symbol(Row.Symbol));
-      ASSERT_NE(Probe, nullptr) << Row.Symbol;
       Probe(Buf->A, Buf->B, Buf->Got, static_cast<long>(ProbeBytes));
       Row.Shared(Buf->Want, Buf->A, Buf->B, ProbeBytes);
       EXPECT_EQ(firstMismatch(*Buf, Bytes), "") << Row.Symbol;
