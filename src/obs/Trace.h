@@ -172,12 +172,6 @@ private:
   Tracer *Saved;
 };
 
-/// The trace id of the thread's current tracer; 0 when untraced.
-inline uint64_t currentTraceId() {
-  Tracer *T = currentTracer();
-  return T ? T->traceId() : 0;
-}
-
 /// RAII span: opens at construction, records at destruction — when a
 /// tracer is current on this thread; otherwise every member is a no-op.
 class Span {

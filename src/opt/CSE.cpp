@@ -33,26 +33,7 @@ unsigned opt::runCSE(VProgram &P, bool MemNorm) {
   for (const VInst &I : Body) {
     VInst Copy = I;
     // Apply pending renames to the uses first.
-    switch (Copy.Op) {
-    case VOpcode::VStore:
-    case VOpcode::VCopy:
-      Copy.VSrc1 = Renamed(Copy.VSrc1);
-      break;
-    case VOpcode::VBinOp:
-    case VOpcode::VCmp:
-    case VOpcode::VShiftPair:
-    case VOpcode::VSplice:
-      Copy.VSrc1 = Renamed(Copy.VSrc1);
-      Copy.VSrc2 = Renamed(Copy.VSrc2);
-      break;
-    case VOpcode::VSelect:
-      Copy.VSrc1 = Renamed(Copy.VSrc1);
-      Copy.VSrc2 = Renamed(Copy.VSrc2);
-      Copy.VSrc3 = Renamed(Copy.VSrc3);
-      break;
-    default:
-      break;
-    }
+    forEachVectorUse(Copy, [&](VRegId &R) { R = Renamed(R); });
 
     // Copies are the loop-carry mechanism, never redundant computation;
     // the unroll pass is responsible for removing them.

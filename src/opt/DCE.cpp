@@ -29,57 +29,10 @@ struct UseSets {
       S[P.getUpperBound().Reg.Id] = true;
     for (BlockKind Kind :
          {BlockKind::Setup, BlockKind::Body, BlockKind::Epilogue})
-      for (const VInst &I : P.getBlock(Kind))
-        addUses(I);
-  }
-
-  void addSOp(const ScalarOperand &Op) {
-    if (Op.IsReg)
-      S[Op.Reg.Id] = true;
-  }
-
-  void addUses(const VInst &I) {
-    if (I.Predicate)
-      S[I.Predicate->Id] = true;
-    switch (I.Op) {
-    case VOpcode::VLoad:
-      if (I.Addr.Index)
-        S[I.Addr.Index->Id] = true;
-      break;
-    case VOpcode::VStore:
-      V[I.VSrc1.Id] = true;
-      if (I.Addr.Index)
-        S[I.Addr.Index->Id] = true;
-      break;
-    case VOpcode::VSplat:
-    case VOpcode::SConst:
-    case VOpcode::SBase:
-      break;
-    case VOpcode::VShiftPair:
-    case VOpcode::VSplice:
-      V[I.VSrc1.Id] = true;
-      V[I.VSrc2.Id] = true;
-      addSOp(I.SOp1);
-      break;
-    case VOpcode::VBinOp:
-    case VOpcode::VCmp:
-      V[I.VSrc1.Id] = true;
-      V[I.VSrc2.Id] = true;
-      break;
-    case VOpcode::VSelect:
-      V[I.VSrc1.Id] = true;
-      V[I.VSrc2.Id] = true;
-      V[I.VSrc3.Id] = true;
-      break;
-    case VOpcode::VCopy:
-      V[I.VSrc1.Id] = true;
-      break;
-    case VOpcode::SBinOp:
-    case VOpcode::SCmp:
-      addSOp(I.SOp1);
-      addSOp(I.SOp2);
-      break;
-    }
+      for (const VInst &I : P.getBlock(Kind)) {
+        forEachVectorUse(I, [&](VRegId R) { V[R.Id] = true; });
+        forEachScalarUse(I, [&](SRegId R) { S[R.Id] = true; });
+      }
   }
 };
 

@@ -40,31 +40,11 @@ public:
 
     VInst I = OrigBody[static_cast<size_t>(DefIdx)];
     assert(I.isPure() && "cannot clone an impure instruction");
-    switch (I.Op) {
-    case VOpcode::VLoad:
+    if (I.Op == VOpcode::VLoad) {
       assert(I.Addr.Index && "body loads are counter-indexed");
       I.Addr = Address::constant(I.Addr.Base, I.Addr.ElemOffset, CV);
-      break;
-    case VOpcode::VSplat:
-      break;
-    case VOpcode::VBinOp:
-    case VOpcode::VCmp:
-    case VOpcode::VShiftPair:
-    case VOpcode::VSplice:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
-      I.VSrc2 = cloneAt(I.VSrc2, CV);
-      break;
-    case VOpcode::VSelect:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
-      I.VSrc2 = cloneAt(I.VSrc2, CV);
-      I.VSrc3 = cloneAt(I.VSrc3, CV);
-      break;
-    case VOpcode::VCopy:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
-      break;
-    default:
-      simdize_unreachable("unexpected opcode in steady body");
     }
+    forEachVectorUse(I, [&](VRegId &Use) { Use = cloneAt(Use, CV); });
     I.VDst = P.allocVReg();
     I.Comment = "predictive-commoning init";
     P.getSetup().push_back(I);
@@ -193,26 +173,7 @@ unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
     if (RemovedIdx.count(static_cast<int>(Idx)))
       continue;
     VInst I = OrigBody[Idx];
-    switch (I.Op) {
-    case VOpcode::VStore:
-    case VOpcode::VCopy:
-      I.VSrc1 = Renamed(I.VSrc1);
-      break;
-    case VOpcode::VBinOp:
-    case VOpcode::VCmp:
-    case VOpcode::VShiftPair:
-    case VOpcode::VSplice:
-      I.VSrc1 = Renamed(I.VSrc1);
-      I.VSrc2 = Renamed(I.VSrc2);
-      break;
-    case VOpcode::VSelect:
-      I.VSrc1 = Renamed(I.VSrc1);
-      I.VSrc2 = Renamed(I.VSrc2);
-      I.VSrc3 = Renamed(I.VSrc3);
-      break;
-    default:
-      break;
-    }
+    forEachVectorUse(I, [&](VRegId &R) { R = Renamed(R); });
     NewBody.push_back(std::move(I));
   }
 

@@ -6,7 +6,6 @@
 
 #include "opt/UnrollRemoveCopies.h"
 
-#include "support/Debug.h"
 #include "vir/VProgram.h"
 
 #include <map>
@@ -99,34 +98,9 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
   Second.reserve(Work.size());
   for (const VInst &Orig : Work) {
     VInst I = Orig;
-    switch (I.Op) {
-    case VOpcode::VLoad:
+    if (I.Op == VOpcode::VLoad || I.Op == VOpcode::VStore)
       I.Addr.ElemOffset += B;
-      break;
-    case VOpcode::VStore:
-      I.VSrc1 = Renamer.use(I.VSrc1);
-      I.Addr.ElemOffset += B;
-      break;
-    case VOpcode::VBinOp:
-    case VOpcode::VCmp:
-    case VOpcode::VShiftPair:
-    case VOpcode::VSplice:
-      I.VSrc1 = Renamer.use(I.VSrc1);
-      I.VSrc2 = Renamer.use(I.VSrc2);
-      break;
-    case VOpcode::VSelect:
-      I.VSrc1 = Renamer.use(I.VSrc1);
-      I.VSrc2 = Renamer.use(I.VSrc2);
-      I.VSrc3 = Renamer.use(I.VSrc3);
-      break;
-    case VOpcode::VSplat:
-      break;
-    case VOpcode::VCopy:
-      I.VSrc1 = Renamer.use(I.VSrc1);
-      break;
-    default:
-      simdize_unreachable("unexpected opcode in steady body");
-    }
+    forEachVectorUse(I, [&](VRegId &R) { R = Renamer.use(R); });
     if (I.definesVector())
       I.VDst = Renamer.def(Orig.VDst);
     Second.push_back(std::move(I));
@@ -170,11 +144,10 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
     for (VInst &I : Second) {
       if (I.definesVector() && I.VDst == SrcR)
         I.VDst = Primary;
-      for (VRegId *Use : {&I.VSrc1, &I.VSrc2})
-        if (*Use == SrcR)
-          *Use = Primary;
-      if (I.Op == VOpcode::VSelect && I.VSrc3 == SrcR)
-        I.VSrc3 = Primary;
+      forEachVectorUse(I, [&](VRegId &Use) {
+        if (Use == SrcR)
+          Use = Primary;
+      });
     }
     for (size_t K = 1; K < Olds.size(); ++K)
       Extra.push_back(VInst::makeVCopy(Olds[K], Primary));

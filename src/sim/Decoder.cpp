@@ -116,105 +116,79 @@ uint32_t DecodedProgram::slotOf(const ScalarOperand &Op) {
 }
 
 DInst DecodedProgram::decodeInst(const VInst &I, const MemoryLayout &Layout) {
+  const OpcodeInfo &Row = opcodeInfo(I.Op);
   DInst D;
-  D.Category = I.category();
+  D.Category = Row.Category;
   if (I.Predicate)
     D.Pred = static_cast<int32_t>(I.Predicate->Id);
-
-  auto decodeAddr = [&](const Address &A) {
-    int64_t D_ = A.Base->getElemSize();
-    if (A.Index) {
-      D.AddrBase = Layout.baseOf(A.Base) + A.ElemOffset * D_;
-      D.Idx = A.Index->Id;
-    } else {
-      D.AddrBase =
-          Layout.baseOf(A.Base) + (A.ConstIndex + A.ElemOffset) * D_;
-      D.Idx = constSlot(0);
-    }
-    D.Scale = D_;
-  };
+  if (I.definesVector())
+    D.VDst = I.VDst.Id;
+  if (I.definesScalar())
+    D.SDst = I.SDst.Id;
+  uint32_t *const VSrcs[] = {&D.VSrc1, &D.VSrc2, &D.VSrc3};
+  unsigned K = 0;
+  forEachVectorUse(I, [&](VRegId R) { *VSrcs[K++] = R.Id; });
+  if (Row.ReadsIndex) {
+    // A memory access: base, element offset and a constant index fold
+    // into AddrBase.
+    const Address &A = I.Addr;
+    D.Scale = A.Base->getElemSize();
+    D.AddrBase = Layout.baseOf(A.Base) +
+                 (A.ElemOffset + (A.Index ? 0 : A.ConstIndex)) * D.Scale;
+    D.Idx = A.Index ? A.Index->Id : constSlot(0);
+  }
+  if (Row.ReadsSOp1)
+    D.SOp1 = slotOf(I.SOp1);
+  if (Row.ReadsSOp2)
+    D.SOp2 = slotOf(I.SOp2);
 
   switch (I.Op) {
   case VOpcode::VLoad:
     D.Kind = DKind::Load;
-    D.VDst = I.VDst.Id;
-    decodeAddr(I.Addr);
     break;
   case VOpcode::VStore:
     D.Kind = DKind::Store;
-    D.VSrc1 = I.VSrc1.Id;
-    decodeAddr(I.Addr);
     break;
   case VOpcode::VSplat:
     D.Kind = DKind::Splat;
-    D.VDst = I.VDst.Id;
-    D.SOp1 = slotOf(I.SOp1);
     D.ElemSize = static_cast<uint8_t>(I.ElemSize);
     break;
   case VOpcode::VShiftPair:
     D.Kind = DKind::ShiftPair;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
-    D.VSrc2 = I.VSrc2.Id;
-    D.SOp1 = slotOf(I.SOp1);
     break;
   case VOpcode::VSplice:
     D.Kind = DKind::Splice;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
-    D.VSrc2 = I.VSrc2.Id;
-    D.SOp1 = slotOf(I.SOp1);
     break;
   case VOpcode::VBinOp:
     D.Kind = DKind::BinOp;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
-    D.VSrc2 = I.VSrc2.Id;
     D.Kernel = kernelFor(I.VectorOp, I.ElemSize);
     break;
   case VOpcode::VCmp:
     D.Kind = DKind::BinOp;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
-    D.VSrc2 = I.VSrc2.Id;
     D.Kernel = kernelFor(I.CmpOp, I.ElemSize);
     break;
   case VOpcode::VSelect:
     D.Kind = DKind::Select;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
-    D.VSrc2 = I.VSrc2.Id;
-    D.VSrc3 = I.VSrc3.Id;
     break;
   case VOpcode::VCopy:
     D.Kind = DKind::Copy;
-    D.VDst = I.VDst.Id;
-    D.VSrc1 = I.VSrc1.Id;
     break;
   case VOpcode::SConst:
     D.Kind = DKind::SSet;
-    D.SDst = I.SDst.Id;
     D.Imm = I.Imm;
     break;
   case VOpcode::SBase:
     // The whole point of decoding: the base address is a constant of the
     // (program, layout) pair.
     D.Kind = DKind::SSet;
-    D.SDst = I.SDst.Id;
     D.Imm = Layout.baseOf(I.Addr.Base);
     break;
   case VOpcode::SBinOp:
     D.Kind = DKind::SBinOp;
-    D.SDst = I.SDst.Id;
-    D.SOp1 = slotOf(I.SOp1);
-    D.SOp2 = slotOf(I.SOp2);
     D.ScalarOp = I.ScalarOp;
     break;
   case VOpcode::SCmp:
     D.Kind = DKind::SCmp;
-    D.SDst = I.SDst.Id;
-    D.SOp1 = slotOf(I.SOp1);
-    D.SOp2 = slotOf(I.SOp2);
     D.CmpOp = I.CmpOp;
     break;
   }

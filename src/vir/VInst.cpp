@@ -169,91 +169,6 @@ VInst VInst::makeSCmp(SCmpKind Kind, SRegId Dst, ScalarOperand LHS,
   return I;
 }
 
-OpCategory VInst::category() const {
-  switch (Op) {
-  case VOpcode::VLoad:
-    return OpCategory::Load;
-  case VOpcode::VStore:
-    return OpCategory::Store;
-  case VOpcode::VSplat:
-  case VOpcode::VShiftPair:
-  case VOpcode::VSplice:
-    return OpCategory::Reorg;
-  case VOpcode::VBinOp:
-  case VOpcode::VCmp:
-  case VOpcode::VSelect:
-    return OpCategory::Compute;
-  case VOpcode::VCopy:
-    return OpCategory::Copy;
-  case VOpcode::SConst:
-  case VOpcode::SBase:
-  case VOpcode::SBinOp:
-  case VOpcode::SCmp:
-    return OpCategory::Scalar;
-  }
-  simdize_unreachable("unknown opcode");
-}
-
-bool VInst::definesVector() const {
-  switch (Op) {
-  case VOpcode::VLoad:
-  case VOpcode::VSplat:
-  case VOpcode::VShiftPair:
-  case VOpcode::VSplice:
-  case VOpcode::VBinOp:
-  case VOpcode::VCmp:
-  case VOpcode::VSelect:
-  case VOpcode::VCopy:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool VInst::definesScalar() const {
-  switch (Op) {
-  case VOpcode::SConst:
-  case VOpcode::SBase:
-  case VOpcode::SBinOp:
-  case VOpcode::SCmp:
-    return true;
-  default:
-    return false;
-  }
-}
-
-const char *vir::opcodeName(VOpcode Op) {
-  switch (Op) {
-  case VOpcode::VLoad:
-    return "vload";
-  case VOpcode::VStore:
-    return "vstore";
-  case VOpcode::VSplat:
-    return "vsplat";
-  case VOpcode::VShiftPair:
-    return "vshiftpair";
-  case VOpcode::VSplice:
-    return "vsplice";
-  case VOpcode::VBinOp:
-    return "vbinop";
-  case VOpcode::VCmp:
-    return "vcmp";
-  case VOpcode::VSelect:
-    return "vselect";
-  case VOpcode::VCopy:
-    return "vcopy";
-  case VOpcode::SConst:
-    return "sconst";
-  case VOpcode::SBase:
-    return "sbase";
-  case VOpcode::SBinOp:
-    return "sbinop";
-  case VOpcode::SCmp:
-    return "scmp";
-  }
-  simdize_unreachable("unknown opcode");
-}
-
 const char *vir::sBinOpName(SBinOpKind Kind) {
   switch (Kind) {
   case SBinOpKind::Add:

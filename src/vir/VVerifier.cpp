@@ -104,107 +104,65 @@ private:
     return std::nullopt;
   }
 
-  std::optional<std::string> useSOp(const ScalarOperand &Op) {
-    if (Op.IsReg)
-      return useSReg(Op.Reg);
-    return std::nullopt;
-  }
-
-  std::optional<std::string> useAddr(const Address &A) {
-    if (!A.Base)
-      return std::string("address has no base array");
-    if (A.Index)
-      return useSReg(*A.Index);
-    return std::nullopt;
-  }
-
-  std::optional<std::string> checkInst(const VInst &I) {
-    if (I.Predicate)
-      if (auto Err = useSReg(*I.Predicate))
-        return Err;
-
-    unsigned V = P.getVectorLen();
+  /// What an opcode's row does not say: address bases, lane widths, and
+  /// the ranges of immediate shift amounts and splice points.
+  std::optional<std::string> checkOpcodeExtras(const VInst &I) const {
+    const unsigned V = P.getVectorLen();
+    auto OutsideV = [V](const ScalarOperand &Op) {
+      return Op.isImm() &&
+             (Op.getImm() < 0 || Op.getImm() > static_cast<int64_t>(V));
+    };
     switch (I.Op) {
     case VOpcode::VLoad:
-      if (auto Err = useAddr(I.Addr))
-        return Err;
-      break;
     case VOpcode::VStore:
-      if (auto Err = useAddr(I.Addr))
-        return Err;
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
+      if (!I.Addr.Base)
+        return std::string("address has no base array");
       break;
     case VOpcode::VSplat:
       if (I.ElemSize == 0 || V % I.ElemSize != 0)
         return std::string("vsplat lane width does not divide V");
-      if (auto Err = useSOp(I.SOp1))
-        return Err;
       break;
     case VOpcode::VShiftPair:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      if (auto Err = useVReg(I.VSrc2))
-        return Err;
-      if (auto Err = useSOp(I.SOp1))
-        return Err;
-      if (I.SOp1.isImm() &&
-          (I.SOp1.getImm() < 0 || I.SOp1.getImm() > static_cast<int64_t>(V)))
+      if (OutsideV(I.SOp1))
         return std::string("vshiftpair amount outside [0, V]");
       break;
     case VOpcode::VSplice:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      if (auto Err = useVReg(I.VSrc2))
-        return Err;
-      if (auto Err = useSOp(I.SOp1))
-        return Err;
-      if (I.SOp1.isImm() &&
-          (I.SOp1.getImm() < 0 || I.SOp1.getImm() > static_cast<int64_t>(V)))
+      if (OutsideV(I.SOp1))
         return std::string("vsplice point outside [0, V]");
       break;
     case VOpcode::VBinOp:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      if (auto Err = useVReg(I.VSrc2))
-        return Err;
       if (I.ElemSize != P.getElemSize())
         return std::string("vbinop lane width differs from the program's D");
       break;
     case VOpcode::VCmp:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      if (auto Err = useVReg(I.VSrc2))
-        return Err;
       if (I.ElemSize != P.getElemSize())
         return std::string("vcmp lane width differs from the program's D");
-      break;
-    case VOpcode::VSelect:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      if (auto Err = useVReg(I.VSrc2))
-        return Err;
-      if (auto Err = useVReg(I.VSrc3))
-        return Err;
-      break;
-    case VOpcode::VCopy:
-      if (auto Err = useVReg(I.VSrc1))
-        return Err;
-      break;
-    case VOpcode::SConst:
       break;
     case VOpcode::SBase:
       if (!I.Addr.Base)
         return std::string("sbase has no base array");
       break;
-    case VOpcode::SBinOp:
-    case VOpcode::SCmp:
-      if (auto Err = useSOp(I.SOp1))
-        return Err;
-      if (auto Err = useSOp(I.SOp2))
-        return Err;
+    default:
       break;
     }
+    return std::nullopt;
+  }
+
+  std::optional<std::string> checkInst(const VInst &I) {
+    if (auto Err = checkOpcodeExtras(I))
+      return Err;
+
+    std::optional<std::string> UseErr;
+    forEachScalarUse(I, [&](SRegId R) {
+      if (!UseErr)
+        UseErr = useSReg(R);
+    });
+    forEachVectorUse(I, [&](VRegId R) {
+      if (!UseErr)
+        UseErr = useVReg(R);
+    });
+    if (UseErr)
+      return UseErr;
 
     // Definitions happen after all uses are checked (an instruction may not
     // read its own result).

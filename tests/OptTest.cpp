@@ -20,6 +20,7 @@
 #include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
 #include "synth/LoopSynth.h"
+#include "vir/VVerifier.h"
 
 #include <gtest/gtest.h>
 
@@ -246,6 +247,22 @@ TEST(DCE, KeepsStoresAndTheirOperands) {
   EXPECT_TRUE(Check.Ok) << Check.Message;
 }
 
+TEST(DCE, KeepsTheScalarARegisterSplatReads) {
+  // A register vsplat reads its SOp1, so the sconst it names is live.
+  ir::Loop L;
+  ir::Array *A = L.createArray("a", ir::ElemType::Int32, 64, 0, true);
+  vir::VProgram P(16, 4);
+  vir::SRegId S1 = P.allocSReg();
+  vir::VRegId V0 = P.allocVReg();
+  P.getSetup().push_back(vir::VInst::makeSConst(S1, 7));
+  P.getSetup().push_back(vir::VInst::makeVSplatReg(V0, S1, 4));
+  P.getBody().push_back(vir::VInst::makeVStore(
+      vir::Address::indexed(A, 0, P.getIndexReg()), V0));
+  EXPECT_EQ(runDCE(P), 0u);
+  EXPECT_EQ(countOps(P.getSetup(), vir::VOpcode::SConst), 1u);
+  EXPECT_EQ(vir::verifyProgram(P), std::nullopt);
+}
+
 TEST(Reassoc, GroupsEqualOffsets) {
   // (b4 + c8) + d4 regroups so the two offset-4 operands combine first.
   ir::Loop L;
@@ -376,6 +393,75 @@ TEST(Pipeline, OptimizerDecisionTotalsArePinned) {
   EXPECT_EQ(T.CopiesRemoved, 48634u);
   EXPECT_EQ(T.DCERemoved, 14441u);
   EXPECT_EQ(T.ShiftCount, 64392u);
+}
+
+/// Runs runOptPipeline's passes over every fuzz configuration's raw
+/// program of \p L at V = 16/32/64, one pass at a time in the pipeline's
+/// order, and requires the verifier to accept the program after each.
+/// Returns the number of programs that went through every pass.
+unsigned verifyAfterEachPass(const ir::Loop &L, const std::string &What) {
+  unsigned Programs = 0;
+  for (unsigned W : {16u, 32u, 64u})
+    for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+      if (C.Opt == pipeline::OptLevel::Raw)
+        continue;
+      pipeline::CompileResult R = pipeline::compileRaw(L, C);
+      if (!R.Simd.ok())
+        continue;
+      vir::VProgram &P = *R.Simd.Program;
+      OptConfig Config;
+      Config.MemNorm = C.MemNorm;
+      Config.PC = C.Opt == pipeline::OptLevel::PC;
+      vir::VProgram Piped = P;
+      runOptPipeline(Piped, Config);
+
+      auto Verified = [&](const char *Pass) {
+        std::optional<std::string> Err = vir::verifyProgram(P);
+        EXPECT_EQ(Err, std::nullopt)
+            << What << " V=" << W << " " << R.ConfigName << " after "
+            << Pass;
+        return !Err;
+      };
+      runCSE(P, Config.MemNorm);
+      if (!Verified("CSE"))
+        continue;
+      if (Config.PC) {
+        runPredictiveCommoning(P, Config.MemNorm);
+        if (!Verified("predictive commoning"))
+          continue;
+      }
+      runUnrollRemoveCopies(P);
+      if (!Verified("unroll"))
+        continue;
+      runDCE(P);
+      if (!Verified("DCE"))
+        continue;
+      EXPECT_TRUE(P == Piped) << What << " V=" << W << " " << R.ConfigName
+                              << ": the passes one by one differ from "
+                                 "runOptPipeline";
+      ++Programs;
+    }
+  return Programs;
+}
+
+TEST(Pipeline, EveryPassLeavesAVerifiedProgram) {
+  // pipeline::optimize verifies only the pipeline's result, where a later
+  // pass could repair what an earlier one broke.
+  std::vector<std::string> Files = fuzz::listCorpusFiles(SIMDIZE_CORPUS_DIR);
+  ASSERT_FALSE(Files.empty());
+  unsigned Programs = 0;
+  for (const std::string &Path : Files) {
+    auto Text = fuzz::readCorpusFile(Path);
+    ASSERT_TRUE(Text.has_value()) << Path;
+    parser::ParseResult Parsed = parser::parseLoop(*Text);
+    ASSERT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
+    Programs += verifyAfterEachPass(*Parsed.Loop, Path);
+  }
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    Programs += verifyAfterEachPass(
+        synth::synthesizeLoop(fuzz::paramsForSeed(Seed, 64, true, true)),
+        "seed " + std::to_string(Seed));
+  EXPECT_GT(Programs, 0u);
 }
 
 } // namespace

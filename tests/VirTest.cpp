@@ -72,6 +72,51 @@ TEST_F(VirTest, DefKinds) {
   EXPECT_TRUE(Const.definesScalar());
 }
 
+TEST_F(VirTest, FactoriesFillExactlyTheFieldsOfTheirRow) {
+  // The passes, the verifier and the decoded engine see an instruction's
+  // registers only through its opcode's row, so every factory must fill
+  // exactly the register fields the row names. Each factory gets
+  // register operands wherever it takes one.
+  VProgram P(16, 4);
+  VRegId V0 = P.allocVReg(), V1 = P.allocVReg(), V2 = P.allocVReg(),
+         V3 = P.allocVReg();
+  SRegId S1 = P.allocSReg(), S2 = P.allocSReg(), S3 = P.allocSReg();
+  ScalarOperand R2 = ScalarOperand::reg(S2), R3 = ScalarOperand::reg(S3);
+  Address At = Address::indexed(A, 1, S1);
+  const VInst Insts[] = {
+      VInst::makeVLoad(V0, At),
+      VInst::makeVStore(At, V0),
+      VInst::makeVSplat(V0, 7, 4),
+      VInst::makeVSplatReg(V0, S2, 4),
+      VInst::makeVShiftPair(V0, V1, V2, R2),
+      VInst::makeVSplice(V0, V1, V2, R2),
+      VInst::makeVBinOp(ir::BinOpKind::Add, V0, V1, V2, 4),
+      VInst::makeVCmp(SCmpKind::LT, V0, V1, V2, 4),
+      VInst::makeVSelect(V0, V1, V2, V3),
+      VInst::makeVCopy(V0, V1),
+      VInst::makeSConst(S1, 7),
+      VInst::makeSBase(S1, A),
+      VInst::makeSBinOp(SBinOpKind::Add, S1, R2, R3),
+      VInst::makeSCmp(SCmpKind::LT, S1, R2, R3),
+  };
+  std::vector<bool> Made(std::size(OpcodeTable), false);
+  for (const VInst &I : Insts) {
+    SCOPED_TRACE(printInst(I));
+    Made[static_cast<unsigned>(I.Op)] = true;
+    const OpcodeInfo &Row = opcodeInfo(I.Op);
+    EXPECT_EQ(I.VDst.isValid(), Row.Defines == DefKind::Vector);
+    EXPECT_EQ(I.SDst.isValid(), Row.Defines == DefKind::Scalar);
+    EXPECT_EQ(I.VSrc1.isValid(), Row.VectorUses >= 1);
+    EXPECT_EQ(I.VSrc2.isValid(), Row.VectorUses >= 2);
+    EXPECT_EQ(I.VSrc3.isValid(), Row.VectorUses >= 3);
+    EXPECT_EQ(I.Addr.Index.has_value(), Row.ReadsIndex);
+    EXPECT_EQ(I.SOp1 != ScalarOperand(), Row.ReadsSOp1);
+    EXPECT_EQ(I.SOp2 != ScalarOperand(), Row.ReadsSOp2);
+  }
+  for (unsigned Op = 0; Op < Made.size(); ++Op)
+    EXPECT_TRUE(Made[Op]) << "no factory instruction of opcode " << Op;
+}
+
 TEST_F(VirTest, BlockingFactorAndStep) {
   VProgram P(16, 2);
   EXPECT_EQ(P.getBlockingFactor(), 8u);
