@@ -24,8 +24,16 @@
 ///
 ///   SIMDIZE_NATIVE_ISA_SHIM    portable scalar model, any power-of-2 V
 ///   SIMDIZE_NATIVE_ISA_SSE2    GCC vectors over __m128i, V = 16
-///   SIMDIZE_NATIVE_ISA_AVX2    GCC vectors over __m256i, V = 32
-///   SIMDIZE_NATIVE_ISA_AVX512  GCC vectors over __m512i (F+BW), V = 64
+///   SIMDIZE_NATIVE_ISA_AVX2    GCC vectors over GCC's own spelling of
+///                              __m256i, V = 32
+///   SIMDIZE_NATIVE_ISA_AVX512  the same over __m512i (F+BW), V = 64
+///
+/// AVX2 and AVX-512 call the four x86 builtins their shifts need instead
+/// of including <immintrin.h>, whose 54,000 preprocessed lines took most
+/// of a one-kernel compile. SSE2 keeps its intrinsics: <emmintrin.h> is
+/// about a tenth of that, and SSE2's shift spelled with builtins compiled
+/// to other code (docs/NATIVE.md). Beyond that, every ISA includes only
+/// <cstdint>, <cstring> and, through simdize_vm_ops.h, <type_traits>.
 ///
 /// Operations:
 ///
@@ -55,7 +63,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <utility>
 
 //===----------------------------------------------------------------------===//
 // Portable shim: scalar model of the operations, any power-of-2 V. The
@@ -138,6 +145,23 @@ template <typename Op, unsigned Bytes> inline vx_t lanes(vx_t A, vx_t B) {
 
 #else // The hardware ISAs.
 
+// Clang defines some of these builtins under the same names with other
+// operand types and the palignr amount in bytes, so a kernel could compile
+// and shift wrongly.
+#if defined(__clang__) &&                                                      \
+    (defined(SIMDIZE_NATIVE_ISA_AVX2) || defined(SIMDIZE_NATIVE_ISA_AVX512))
+#error "AVX2 and AVX-512 lowering calls GCC's x86 builtins"
+#endif
+
+namespace simdize_x86_detail {
+
+/// The register as V / sizeof(Lane) lanes of type Lane.
+template <typename Lane> struct VecOf {
+  typedef Lane type __attribute__((vector_size(SIMDIZE_NATIVE_V)));
+};
+
+} // namespace simdize_x86_detail
+
 //===----------------------------------------------------------------------===//
 // SSE2: __m128i, V = 16. Baseline x86-64 — always compilable there.
 //===----------------------------------------------------------------------===//
@@ -162,8 +186,10 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
 }
 
 //===----------------------------------------------------------------------===//
-// AVX2: __m256i, V = 32. The cross-lane shift pair composes vperm2i128
-// with the per-128-lane vpalignr.
+// AVX2: V = 32. The cross-lane shift pair composes vperm2i128 with the
+// per-128-lane vpalignr, each called as the GCC builtin that
+// _mm256_permute2x128_si256 and _mm256_alignr_epi8 wrap. GCC's palignr
+// builtins take the amount in bits.
 //===----------------------------------------------------------------------===//
 #elif defined(SIMDIZE_NATIVE_ISA_AVX2)
 
@@ -171,9 +197,8 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
 #error "AVX2 lowering requires V = 32"
 #endif
 
-#include <immintrin.h>
-
-typedef __m256i vx_t;
+/// GCC's own definition of __m256i.
+typedef long long vx_t __attribute__((vector_size(32), may_alias));
 
 template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
   static_assert(N >= 0 && N <= 32, "shift immediate out of range");
@@ -182,23 +207,24 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
   else if constexpr (N == 32)
     return B;
   else if constexpr (N == 16)
-    return _mm256_permute2x128_si256(A, B, 0x21);
+    return __builtin_ia32_permti256(A, B, 0x21);
   else if constexpr (N < 16) {
     // Lane l of the result needs bytes [N, N+16) of concat(C_l, C_{l+1})
     // where C = [A_lo, A_hi, B_lo]; M = [A_hi, B_lo] supplies C_{l+1}.
-    __m256i M = _mm256_permute2x128_si256(A, B, 0x21);
-    return _mm256_alignr_epi8(M, A, N);
+    vx_t M = __builtin_ia32_permti256(A, B, 0x21);
+    return __builtin_ia32_palignr256(M, A, N * 8);
   } else {
-    __m256i M = _mm256_permute2x128_si256(A, B, 0x21);
-    return _mm256_alignr_epi8(B, M, N - 16);
+    vx_t M = __builtin_ia32_permti256(A, B, 0x21);
+    return __builtin_ia32_palignr256(B, M, (N - 16) * 8);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// AVX-512 (F + BW): __m512i, V = 64. Immediate shifts stay in registers:
-// valignd shifts the 128-byte pair by whole dwords, and byte-granular
-// amounts widen the AVX2 trick to four lanes (two valignd pick adjacent
-// 16-byte windows, one vpalignr finishes per lane).
+// AVX-512 (F + BW): V = 64. Immediate shifts stay in registers: valignd
+// shifts the 128-byte pair by whole dwords, and byte-granular amounts
+// widen the AVX2 trick to four lanes (two valignd pick adjacent 16-byte
+// windows, one vpalignr finishes per lane). Both are GCC builtins, as
+// for AVX2.
 //===----------------------------------------------------------------------===//
 #elif defined(SIMDIZE_NATIVE_ISA_AVX512)
 
@@ -206,23 +232,25 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
 #error "AVX-512 lowering requires V = 64"
 #endif
 
-#include <immintrin.h>
-
-typedef __m512i vx_t;
+/// GCC's own definition of __m512i.
+typedef long long vx_t __attribute__((vector_size(64), may_alias));
 
 namespace simdize_x86_detail {
 
-/// Bytes [4 K, 4 K + 64) of A ++ B, K in [0, 16]: one valignd. The
-/// all-ones masked intrinsic is the same instruction; the unmasked one
-/// merges from an undefined vector, which GCC 12 flags under -Wall.
+/// Bytes [4 K, 4 K + 64) of A ++ B, K in [0, 16]: one valignd. This is
+/// _mm512_maskz_alignr_epi32 with an all-ones mask, the same instruction
+/// as the unmasked form, which merges from an undefined vector that GCC 12
+/// flags under -Wall.
 template <int K> inline vx_t dwords(vx_t A, vx_t B) {
   static_assert(K >= 0 && K <= 16, "dword shift out of range");
+  using T = VecOf<int32_t>::type;
   if constexpr (K == 0)
     return A;
   else if constexpr (K == 16)
     return B;
   else
-    return _mm512_maskz_alignr_epi32(static_cast<__mmask16>(-1), B, A, K);
+    return (vx_t)__builtin_ia32_alignd512_mask((T)B, (T)A, K, T{},
+                                               static_cast<uint16_t>(-1));
 }
 
 } // namespace simdize_x86_detail
@@ -237,9 +265,9 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
     // windows starting at chunks Q and Q+1, joined by the per-lane
     // vpalignr.
     constexpr int Q = N / 16;
-    return _mm512_alignr_epi8(simdize_x86_detail::dwords<4 * Q + 4>(A, B),
-                              simdize_x86_detail::dwords<4 * Q>(A, B),
-                              N % 16);
+    return __builtin_ia32_palignr512(
+        simdize_x86_detail::dwords<4 * Q + 4>(A, B),
+        simdize_x86_detail::dwords<4 * Q>(A, B), N % 16 * 8);
   }
 }
 
@@ -252,11 +280,6 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
 //===----------------------------------------------------------------------===//
 
 namespace simdize_x86_detail {
-
-/// The register as V / sizeof(Lane) lanes of type Lane.
-template <typename Lane> struct VecOf {
-  typedef Lane type __attribute__((vector_size(SIMDIZE_NATIVE_V)));
-};
 
 /// trunc(Addr): the start of the V-byte chunk that holds Addr.
 inline uintptr_t chunk(const unsigned char *Addr) {
@@ -293,11 +316,12 @@ inline vx_t lanes<simdize_vm::vx_mul, 1>(vx_t A, vx_t B) {
   return (vx_t)(((X * Y) & 0x00FF) | ((X >> 8) * (Y & 0xFF00)));
 }
 
-/// The byte indices 0, 1, ..., V - 1.
-template <int... K>
-constexpr VecOf<int8_t>::type iota(std::integer_sequence<int, K...>) {
-  return VecOf<int8_t>::type{K...};
-}
+/// The byte indices 0, 1, ..., V - 1 as Iota<V>::Value: each step
+/// prepends N - 1 to the pack K until N reaches 0.
+template <int N, int... K> struct Iota : Iota<N - 1, N - 1, K...> {};
+template <int... K> struct Iota<0, K...> {
+  static constexpr VecOf<int8_t>::type Value{K...};
+};
 
 } // namespace simdize_x86_detail
 
@@ -341,8 +365,7 @@ inline vx_t vx_sld_at(vx_t A, vx_t B, const unsigned char *Addr) {
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
   using T = simdize_x86_detail::VecOf<int8_t>::type;
   // Byte indices and P are in [0, V], V <= 64: the signed compare is exact.
-  constexpr T Index = simdize_x86_detail::iota(
-      std::make_integer_sequence<int, SIMDIZE_NATIVE_V>());
+  constexpr T Index = simdize_x86_detail::Iota<SIMDIZE_NATIVE_V>::Value;
   return (vx_t)(Index < static_cast<int8_t>(P) ? (T)A : (T)B);
 }
 

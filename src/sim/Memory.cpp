@@ -67,7 +67,9 @@ void Memory::writeElem(int64_t Addr, unsigned ElemSize, int64_t Value) {
 }
 
 void Memory::fillPattern(uint64_t Seed) {
-  RNG Rng(Seed);
-  for (auto &B : Bytes)
-    B = static_cast<uint8_t>(Rng.next());
+  // Byte K is the low byte of RNG(Seed)'s K-th draw, computed from its
+  // counter so that no byte waits on the one before.
+  const uint64_t State = RNG::initialState(Seed);
+  for (size_t K = 0; K < Bytes.size(); ++K)
+    Bytes[K] = static_cast<uint8_t>(RNG::mix(State + (K + 1) * RNG::Gamma));
 }

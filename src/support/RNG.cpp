@@ -10,15 +10,6 @@
 
 using namespace simdize;
 
-uint64_t RNG::next() {
-  // splitmix64: excellent statistical quality for its size, fully portable.
-  State += 0x9e3779b97f4a7c15ULL;
-  uint64_t Z = State;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
 int64_t RNG::uniformInt(int64_t Lo, int64_t Hi) {
   assert(Lo <= Hi && "empty range");
   uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;

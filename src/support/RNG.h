@@ -24,11 +24,30 @@ namespace simdize {
 /// synthesizer (uniform integers, probabilities, biased choices).
 class RNG {
 public:
-  explicit RNG(uint64_t Seed) : State(Seed == 0 ? 0x9e3779b97f4a7c15ULL
-                                                : Seed) {}
+  /// splitmix64's counter increment (the golden ratio in 64 bits).
+  static constexpr uint64_t Gamma = 0x9e3779b97f4a7c15ULL;
+
+  explicit RNG(uint64_t Seed) : State(initialState(Seed)) {}
+
+  /// The state RNG(Seed) starts from. splitmix64 is counter-based: the
+  /// k-th next(), k from 0, returns mix(initialState(Seed) + (k + 1) *
+  /// Gamma), so any draw can be computed without the ones before it.
+  static constexpr uint64_t initialState(uint64_t Seed) {
+    return Seed == 0 ? Gamma : Seed;
+  }
+
+  /// splitmix64's output function.
+  static constexpr uint64_t mix(uint64_t Z) {
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+    return Z ^ (Z >> 31);
+  }
 
   /// Returns the next raw 64-bit value (splitmix64 step).
-  uint64_t next();
+  uint64_t next() {
+    State += Gamma;
+    return mix(State);
+  }
 
   /// Returns a uniform integer in [Lo, Hi], inclusive. Requires Lo <= Hi.
   int64_t uniformInt(int64_t Lo, int64_t Hi);

@@ -49,13 +49,15 @@ public:
       SDefined[Reg.Id] = true;
     }
 
-    if (auto Err = checkBound(P.getLowerBound(), "lower bound"))
-      return Err;
-    if (auto Err = checkBound(P.getUpperBound(), "upper bound"))
-      return Err;
-
     for (BlockKind Kind :
-         {BlockKind::Setup, BlockKind::Body, BlockKind::Epilogue})
+         {BlockKind::Setup, BlockKind::Body, BlockKind::Epilogue}) {
+      // The steady loop's bounds are read once, after Setup.
+      if (Kind == BlockKind::Body) {
+        if (auto Err = checkBound(P.getLowerBound(), "lower bound"))
+          return Err;
+        if (auto Err = checkBound(P.getUpperBound(), "upper bound"))
+          return Err;
+      }
       for (const VInst &I : P.getBlock(Kind)) {
         std::optional<std::string> Err = checkInst(I);
         if (!Err && Kind == BlockKind::Body)
@@ -63,6 +65,7 @@ public:
         if (Err)
           return strf("%s: in '%s'", Err->c_str(), printInst(I).c_str());
       }
+    }
     return std::nullopt;
   }
 
@@ -79,12 +82,17 @@ private:
     return std::nullopt;
   }
 
+  /// A register bound must be the trip-count parameter, a scalar
+  /// parameter or a Setup definition: neither engine checks that it was
+  /// defined, and an undefined bound would run no steady iteration.
   std::optional<std::string> checkBound(const ScalarOperand &Op,
                                         const char *What) {
-    // Register bounds must be produced in Setup; we defer the def check to
-    // the machine, but the register must at least be in range.
-    if (Op.IsReg)
-      return checkSReg(Op.Reg, What);
+    if (!Op.IsReg)
+      return std::nullopt;
+    if (auto Err = checkSReg(Op.Reg, What))
+      return Err;
+    if (!SDefined[Op.Reg.Id])
+      return strf("%s s%u is not defined before the loop", What, Op.Reg.Id);
     return std::nullopt;
   }
 

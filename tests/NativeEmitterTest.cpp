@@ -657,6 +657,97 @@ TEST(NativeCache, KeyCoversWrapperHeader) {
   std::filesystem::remove(So, EC); // A one-off TU; keep the store small.
 }
 
+/// One header that a TU parses, as `-H` prints it: its include depth
+/// (1 for simdize_x86.h itself) and its path.
+struct Included {
+  size_t Depth;
+  std::string Path;
+  std::string file() const { return Path.substr(Path.rfind('/') + 1); }
+};
+
+/// One line per header, indented by depth as -H prints it.
+std::string listing(const std::vector<Included> &Headers) {
+  std::string Out;
+  for (const Included &H : Headers)
+    Out += std::string(H.Depth, '.') + " " + H.Path + "\n";
+  return Out;
+}
+
+/// The headers a TU holding only the wrapper's #include parses for \p Isa
+/// at width \p V, compiled with the ISA's own flags.
+std::vector<Included> wrapperIncludes(native::ISA Isa, unsigned V) {
+  std::filesystem::path Tu =
+      std::filesystem::temp_directory_path() /
+      strf("simdize-includes-%ld-%s.cpp", static_cast<long>(getpid()),
+           native::isaName(Isa));
+  std::ofstream(Tu) << strf("#define SIMDIZE_NATIVE_V %u\n#define %s 1\n"
+                            "#include \"simdize_x86.h\"\n",
+                            V, native::isaDefine(Isa));
+  std::string Cmd = "'" SIMDIZE_TEST_CXX "' -std=c++20 -fsyntax-only -H";
+  for (const std::string &F : native::isaCompileFlags(Isa))
+    Cmd += " " + F;
+  Cmd += " -I '" SIMDIZE_NATIVE_DIR "' '" + Tu.string() + "' 2>&1";
+  std::vector<Included> Headers;
+  std::string Output;
+  if (FILE *Pipe = popen(Cmd.c_str(), "r")) {
+    char Line[4096];
+    while (fgets(Line, sizeof(Line), Pipe)) {
+      std::string L(Line);
+      size_t Dots = L.find_first_not_of('.');
+      if (Dots == 0 || Dots == std::string::npos || L[Dots] != ' ') {
+        Output += L; // A diagnostic, not an include.
+        continue;
+      }
+      size_t End = L.find_last_not_of("\r\n");
+      Headers.push_back({Dots, L.substr(Dots + 1, End - Dots)});
+    }
+    EXPECT_EQ(pclose(Pipe), 0) << Cmd << "\n" << Output;
+  } else {
+    ADD_FAILURE() << "cannot run " << Cmd;
+  }
+  std::error_code EC;
+  std::filesystem::remove(Tu, EC);
+  return Headers;
+}
+
+TEST(NativeHeader, HardwareISAsIncludeNoAvxIntrinsicHeaders) {
+  // AVX2 and AVX-512 call the x86 builtins their shifts need: parsing
+  // <immintrin.h> took most of a cold one-kernel compile. SSE2 includes
+  // <emmintrin.h>, and beyond it every ISA includes the same headers.
+  auto Forbidden = [](const std::string &File) {
+    return File == "immintrin.h" || File == "utility" ||
+           (File.rfind("avx", 0) == 0 && File.ends_with("intrin.h"));
+  };
+  std::vector<Included> Shim = wrapperIncludes(native::ISA::Shim, 16);
+  ASSERT_FALSE(Shim.empty());
+  EXPECT_EQ(Shim.front().file(), "simdize_x86.h");
+  for (auto [Isa, V] : {std::pair{native::ISA::SSE2, 16u},
+                        std::pair{native::ISA::AVX2, 32u},
+                        std::pair{native::ISA::AVX512, 64u}}) {
+    SCOPED_TRACE(native::isaName(Isa));
+    std::vector<Included> Headers = wrapperIncludes(Isa, V);
+    for (const Included &H : Headers)
+      EXPECT_FALSE(Forbidden(H.file())) << H.Path;
+    // Drop <emmintrin.h> and what it pulls in; SSE2 must include it.
+    std::vector<Included> Rest;
+    std::optional<size_t> InEmm;
+    bool SawEmm = false;
+    for (const Included &H : Headers) {
+      if (InEmm && H.Depth > *InEmm)
+        continue;
+      InEmm.reset();
+      if (H.file() == "emmintrin.h") {
+        InEmm = H.Depth;
+        SawEmm = true;
+        continue;
+      }
+      Rest.push_back(H);
+    }
+    EXPECT_EQ(SawEmm, Isa == native::ISA::SSE2);
+    EXPECT_EQ(listing(Rest), listing(Shim));
+  }
+}
+
 /// A one-function TU that is new to every cache.
 std::string nonceTU(const char *Fn) {
   std::random_device Rd;

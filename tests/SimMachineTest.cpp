@@ -14,6 +14,7 @@
 #include "sim/Machine.h"
 #include "sim/Memory.h"
 #include "sim/ScalarInterp.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,22 @@ TEST(Memory, FillPatternDeterministic) {
   EXPECT_TRUE(A == B);
   B.fillPattern(6);
   EXPECT_FALSE(A == B);
+}
+
+TEST(Memory, FillPatternIsTheGeneratorsLowBytes) {
+  // fillPattern computes each byte from the generator's counter; the bytes
+  // must be those of the serial draws, seed 0 included (RNG replaces it).
+  for (uint64_t Seed : {uint64_t{0}, uint64_t{1}, uint64_t{7}, ~uint64_t{0}})
+    for (int64_t Size : {0, 1, 7, 64, 4097}) {
+      SCOPED_TRACE(testing::Message() << "seed " << Seed << ", " << Size
+                                      << " bytes");
+      Memory Mem(Size);
+      Mem.fillPattern(Seed);
+      RNG Rng(Seed);
+      for (int64_t K = 0; K < Size; ++K)
+        ASSERT_EQ(Mem.data()[K], static_cast<uint8_t>(Rng.next()))
+            << "byte " << K;
+    }
 }
 
 TEST(MemoryLayout, RealizesDeclaredAlignments) {

@@ -4,10 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Simdizer.h"
 #include "fuzz/Fuzzer.h"
+#include "ir/IRBuilder.h"
 #include "ir/Loop.h"
 #include "native/NativeEmitter.h"
 #include "pipeline/Pipeline.h"
+#include "support/Format.h"
 #include "synth/LoopSynth.h"
 #include "vir/VPrinter.h"
 #include "vir/VProgram.h"
@@ -384,6 +387,31 @@ TEST_F(VirTest, VerifierCatchesUndefinedPredicate) {
   Store.Predicate = Pred; // Never defined.
   P.getEpilogue().push_back(Store);
   EXPECT_NE(verifyProgram(P), std::nullopt);
+}
+
+TEST_F(VirTest, VerifierRequiresRegisterBoundDefinedBeforeLoop) {
+  // A runtime trip count: Setup computes the steady loop's upper bound.
+  ir::Loop RT;
+  ir::Array *Out = RT.createArray("a", ir::ElemType::Int32, 128, 0, true);
+  ir::Array *In = RT.createArray("b", ir::ElemType::Int32, 128, 4, true);
+  RT.addStmt(Out, 3, ir::ref(In, 1));
+  RT.setUpperBound(100, /*Known=*/false);
+  codegen::SimdizeResult R = codegen::simdize(RT, codegen::SimdizeOptions());
+  ASSERT_TRUE(R.ok()) << R.Error;
+  VProgram &P = *R.Program;
+  ASSERT_TRUE(P.getUpperBound().IsReg);
+  EXPECT_EQ(verifyProgram(P), std::nullopt);
+
+  // The same program with its bound pointed at a register nothing defines
+  // would run no steady iteration.
+  SRegId Undefined = P.allocSReg();
+  P.setLoopBounds(P.getLowerBound(), ScalarOperand::reg(Undefined));
+  auto Err = verifyProgram(P);
+  ASSERT_NE(Err, std::nullopt);
+  EXPECT_NE(Err->find(strf("upper bound s%u is not defined before the loop",
+                           Undefined.Id)),
+            std::string::npos)
+      << *Err;
 }
 
 TEST_F(VirTest, VerifierCatchesOutOfRangeRegister) {
